@@ -108,10 +108,6 @@ def order_along_center(f: Jet, center: Center) -> OrderResult:
     return f.order_along(center.indices)
 
 
-def blowup_pullback(f: Jet, chart: ChartMap) -> Jet:
-    return chart.pullback(f)
-
-
 def weak_transform(f: Jet, chart: ChartMap, d: int) -> Jet:
     """Pullback divided by the d-th power of the exceptional coordinate.
 

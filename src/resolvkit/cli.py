@@ -6,7 +6,9 @@ an independent cross-check), dc (growth-sequence analysis), and verify
 (re-audit of a stored tree).
 
 Exit codes: 0 success with all checks passed, 2 checks failed (a report is
-still emitted), 3 truncation or blow-up budget exhausted, 4 input error.
+still emitted), 3 truncation or blow-up budget exhausted, 4 input error
+(including a malformed tree JSON), 5 an internal invariant of the algorithm
+failed (the input is not yet supported).
 All output is deterministic: maps are serialized in sorted key order.
 """
 
@@ -28,6 +30,7 @@ from .carleman import (
 from .faa_di_bruno import compose_coefficient, jet_to_table
 from .parse import ParseError, parse_many, parse_polynomial
 from .resolve import (
+    AlgorithmError,
     BudgetError,
     MONOMIALIZE,
     RECTILINEARIZE,
@@ -45,6 +48,7 @@ EXIT_OK = 0
 EXIT_CHECKS_FAILED = 2
 EXIT_RESOURCES = 3
 EXIT_INPUT = 4
+EXIT_ALGORITHM = 5
 
 ENV_TRUNCATION = "RESOLVKIT_TRUNCATION"
 
@@ -81,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit", default="text", help="comma subset of json,dot,text")
         p.add_argument("--out", help="artifact path prefix (default: stdout)")
         p.add_argument("--verify", action="store_true", help="re-audit the finished tree")
-        p.add_argument("--parallel", action="store_true", help="resolve sibling charts concurrently")
 
     add_run_options(sub.add_parser("resolve", help="resolve a hypersurface germ"))
     add_run_options(sub.add_parser("monomialize", help="principalize: pullback becomes monomial"))
@@ -169,7 +172,6 @@ def _cmd_run(args, mode, out):
         truncation=trunc,
         max_blowups=args.max_blowups,
         base_points=_parse_base_points(args.base_points, names),
-        parallel=args.parallel,
     )
     if mode == RESOLVE:
         tree = resolve_hypersurface(jets[0], config, names)
@@ -289,6 +291,9 @@ def main(argv=None, out=None) -> int:
     except (ParseError, ShapeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_INPUT
+    except AlgorithmError as exc:
+        print(f"error: {exc}", file=out)
+        return EXIT_ALGORITHM
 
 
 if __name__ == "__main__":

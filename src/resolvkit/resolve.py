@@ -19,7 +19,6 @@ chart formulas alone, without reusing any driver state.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -42,6 +41,7 @@ from .series import (
     ShapeError,
     TruncationError,
     compose_maps,
+    default_names,
     implicit_solve,
     linear_change,
     substitute,
@@ -65,7 +65,6 @@ class RunConfig:
     truncation: int = 24
     max_blowups: int = 64
     base_points: tuple = ()
-    parallel: bool = False
 
     def __post_init__(self):
         if self.truncation < 4:
@@ -339,162 +338,37 @@ def coefficient_data(model: LocalModel, d: int | None = None):
     return cs, bs
 
 
-def pair_locus_description(model: LocalModel) -> list:
-    """Marked generators cutting out the equimultiple locus of the invariant
-    pair inside the contact hypersurface."""
-    cs, bs = coefficient_data(model)
-    gens = [mf for _, mf in sorted(cs.items()) if mf is not None]
-    gens += [mf for _, mf in sorted(bs.items()) if mf is not None]
-    return gens
-
-
-def geometric_smoothness(model: LocalModel) -> bool:
-    """True when every contact coefficient vanishes up to the truncation."""
-    cs, _ = coefficient_data(model)
-    return all(mf is None for mf in cs.values())
-
-
-def _phase_for(model: LocalModel) -> "_PhaseState":
-    d = model.d
-    cs, bs = coefficient_data(model, d)
-    active_c = tuple(q for q, mf in sorted(cs.items()) if mf is not None)
-    old_ids = tuple(e.eid for e in model.ledger.through_origin())
-    return _PhaseState(
-        d=d,
-        scale=factorial(d),
-        front_entry=None,
-        old_ids=old_ids,
-        c_keys=active_c,
-        start_pair=(d, len(old_ids)),
-    )
-
-
-def to_monomial_case(model: LocalModel, config: RunConfig | None = None):
-    """Bring the marked data of a prepared model into monomial form.
-
-    When every datum is already monomial times unit with pairwise comparable
-    exponents, the model is returned unchanged with its scaled exponent
-    vectors.  Otherwise the product of the powered data and their pairwise
-    differences is monomialized by a recursive lower-dimensional run whose
-    blow-ups are lifted back into the ambient frame; one transformed model is
-    returned per resulting chart.
-    """
-    config = config or RunConfig()
-    if not model.prepared:
-        raise ValueError("the model must be prepared first")
-    phase = _phase_for(model)
-    data = _collect_data(model, phase)
-    if not data:
-        raise ValueError("all marked data vanish; there is nothing to monomialize")
-    if _all_monomial_comparable(data):
-        return [(model, _omega_of(data, phase))]
-    assumptions = []
-    prod_jet = _reduction_product(data, phase.scale, assumptions)
-    sub_ctx = _Ctx(config=config, mode=MONOMIALIZE)
-    sub_children = _run_germ(prod_jet, ExceptionalLedger(), sub_ctx, 0)
-    sub_children = _absorb_in_drafts(sub_children, sub_ctx)
-    out = []
-
-    def walk(nodes, umodel):
-        for sd in nodes:
-            if sd.kind == KIND_LEAF:
-                data2 = _collect_data(umodel, phase)
-                if not data2:
-                    out.append((umodel, {}))
-                    continue
-                if not _all_monomial_comparable(data2):
-                    raise AlgorithmError(
-                        "reduction finished but the data are not monomial and comparable"
-                    )
-                out.append((umodel, _omega_of(data2, phase)))
-                continue
-            child_model, _ = _lift_transform(sd, umodel)
-            walk(sd.children, child_model)
-
-    walk(sub_children, model)
-    return out
-
-
-def monomial_step(model: LocalModel, omegas: dict):
-    """Blow up the canonical combinatorial center once.
-
-    Returns ``(center, results)`` where results holds one entry per chart:
-    ``(chart_index, child_model, updated_omegas)``; the contact chart (where
-    the invariant pair always drops) carries ``None`` instead of updates.
-    """
-    if not model.prepared:
-        raise ValueError("the model must be prepared first")
-    _, omega = least_omega(omegas)
-    center = monomial_centers(omega)[0]
-    n = model.nvars
-    m = n - 1
-    d = model.d
-    positions = [i for i in center.indices if i != m]
-    results = []
-    for i in center.indices:
-        chart = ChartMap(center, i)
-        mu = order_along_center(model.g, center)
-        if not mu.is_finite or mu.value != d:
-            raise AlgorithmError("the chosen center is not equimultiple for the hypersurface")
-        g2 = chart.pullback(model.g)
-        for _ in range(d):
-            g2 = g2.divide_by_coordinate(i)
-        ledger2 = _transform_ledger(model.ledger, chart)
-        ledger2 = _new_exceptional(ledger2, i, n, g2.trunc)
-        child = _model(g2, ledger2, prepared=True)
-        updated = None
-        if i != m:
-            updated = {k: om.updated(positions, i) for k, om in omegas.items()}
-        results.append((i, child, updated))
-    return center, results
-
-
 # -- tree -------------------------------------------------------------------------
 
 KIND_COVERING = "CoveringPiece"
 KIND_BLOWUP = "BlowupChart"
 KIND_LEAF = "Leaf"
+TREE_FORMAT = "resolvkit-tree/1"
 
 
+@dataclass(eq=False, slots=True)
 class Node:
-    __slots__ = (
-        "kind",
-        "children",
-        "base_point",
-        "prep",
-        "center",
-        "chart_index",
-        "identity",
-        "pair",
-        "s_total",
-        "omega",
-        "assumptions",
-        "budget",
-        "leaf",
-        "model",
-        "nid",
-        "parent_id",
-        "blowup_index",
-    )
+    kind: str
+    children: list = ()
+    base_point: tuple | None = None
+    prep: Preparation | None = None
+    center: tuple | None = None
+    chart_index: int | None = None
+    identity: bool = False
+    pair: tuple | None = None
+    s_total: int | None = None
+    omega: dict | None = None
+    assumptions: list = ()
+    budget: dict | None = None
+    leaf: dict | None = None
+    model: LocalModel | None = None
+    nid: int | None = None
+    parent_id: int | None = None
+    blowup_index: int = 0
 
-    def __init__(self, kind, **kw):
-        self.kind = kind
-        self.children = list(kw.get("children", ()))
-        self.base_point = kw.get("base_point")
-        self.prep = kw.get("prep")
-        self.center = kw.get("center")
-        self.chart_index = kw.get("chart_index")
-        self.identity = kw.get("identity", False)
-        self.pair = kw.get("pair")
-        self.s_total = kw.get("s_total")
-        self.omega = kw.get("omega")
-        self.assumptions = list(kw.get("assumptions", ()))
-        self.budget = kw.get("budget")
-        self.leaf = kw.get("leaf")
-        self.model = kw.get("model")
-        self.nid = None
-        self.parent_id = None
-        self.blowup_index = 0
+    def __post_init__(self):
+        self.children = list(self.children)
+        self.assumptions = list(self.assumptions)
 
 
 class ResolutionTree:
@@ -505,24 +379,22 @@ class ResolutionTree:
         self.config = config
         self.input_jets = tuple(input_jets)
         self.var_names = tuple(var_names)
-        self.nodes = []
-        self._flatten(roots)
-
-    def _flatten(self, roots):
-        self.nodes = []
+        nodes = []
 
         def walk(node, parent_id, blowups):
-            node.nid = len(self.nodes)
+            node.nid = len(nodes)
             node.parent_id = parent_id
             if node.kind == KIND_BLOWUP and not node.identity:
                 blowups += 1
             node.blowup_index = blowups
-            self.nodes.append(node)
+            nodes.append(node)
             for child in node.children:
                 walk(child, node.nid, blowups)
 
         for root in roots:
             walk(root, None, 0)
+        self.nodes = nodes
+        self._by_id = {n.nid: n for n in nodes}
 
     def roots(self):
         return [n for n in self.nodes if n.parent_id is None]
@@ -531,17 +403,14 @@ class ResolutionTree:
         return [n for n in self.nodes if n.kind == KIND_LEAF]
 
     def node_by_id(self, nid: int):
-        for n in self.nodes:
-            if n.nid == nid:
-                return n
-        raise KeyError(f"no node with id {nid}")
+        return self._by_id[nid]
 
     def path_to(self, nid: int):
         out = []
         node = self.node_by_id(nid)
         while node is not None:
             out.append(node)
-            node = self.node_by_id(node.parent_id) if node.parent_id is not None else None
+            node = self._by_id.get(node.parent_id)
         return list(reversed(out))
 
     @property
@@ -597,12 +466,12 @@ class ResolutionTree:
                 ]
             nodes.append(nd)
         return {
-            "format": "resolvkit-tree/1",
+            "format": TREE_FORMAT,
             "mode": self.mode,
             "config": {
                 "truncation": self.config.truncation,
                 "max_blowups": self.config.max_blowups,
-                "parallel": self.config.parallel,
+                "parallel": False,  # fixed in format /1; the reader ignores it
             },
             "variables": list(self.var_names),
             "input": [_jet_json(j) for j in self.input_jets],
@@ -654,6 +523,7 @@ def _jet_json(j: Jet) -> dict:
 
 
 def _jet_from_json(d) -> Jet:
+    _require(d, ("nvars", "trunc", "terms"), "a jet")
     return Jet(d["nvars"], d["trunc"], {tuple(a): Fraction(c) for a, c in d["terms"]})
 
 
@@ -693,56 +563,93 @@ def _node_json(n: Node) -> dict:
     }
 
 
+_TREE_KEYS = ("format", "mode", "config", "variables", "input", "nodes")
+_NODE_KEYS = tuple(_node_json(Node(KIND_LEAF)))
+
+
+def _require(d, keys, where: str):
+    """Raise ValueError naming ``where`` unless d is an object with all keys."""
+    if not isinstance(d, dict):
+        raise ValueError(f"tree JSON: {where} is not an object")
+    for k in keys:
+        if k not in d:
+            raise ValueError(f"tree JSON: {where} has no key {k!r}")
+
+
 def tree_from_json_dict(data: dict) -> "ResolutionTree":
-    """Rebuild a tree object from its JSON form for re-auditing."""
+    """Rebuild a tree object from its JSON form for re-auditing.
+
+    Raises ValueError, naming the key or node id, on a wrong format, a missing
+    key, a duplicate node id, or a parent that does not precede its child.
+    """
+    _require(data, _TREE_KEYS, "the tree")
+    if data["format"] != TREE_FORMAT:
+        raise ValueError(f"tree JSON: format {data['format']!r} is not {TREE_FORMAT!r}")
+    _require(data["config"], ("truncation", "max_blowups"), "config")
     cfg = RunConfig(
         truncation=data["config"]["truncation"],
         max_blowups=data["config"]["max_blowups"],
-        parallel=data["config"]["parallel"],
     )
     tree = ResolutionTree.__new__(ResolutionTree)
     tree.mode = data["mode"]
     tree.config = cfg
     tree.input_jets = tuple(_jet_from_json(j) for j in data["input"])
     tree.var_names = tuple(data["variables"])
-    tree.nodes = []
-    for nd in data["nodes"]:
-        node = Node(nd["kind"])
-        node.nid = nd["id"]
-        node.parent_id = nd["parent"]
-        node.base_point = (
-            None
-            if nd["base_point"] is None
-            else tuple(Fraction(x) for x in nd["base_point"])
-        )
+    nodes, by_id = [], {}
+    for pos, nd in enumerate(data["nodes"]):
+        _require(nd, _NODE_KEYS, f"node entry {pos}")
+        nid, parent_id = nd["id"], nd["parent"]
+        if nid in by_id:
+            raise ValueError(f"tree JSON: node id {nid} occurs twice")
+        # a parent must come first: this links children in one pass and
+        # rules out parent cycles, on which path_to would never return
+        if parent_id is not None and parent_id not in by_id:
+            raise ValueError(
+                f"tree JSON: node {nid} names parent {parent_id}, which does not precede it"
+            )
+        prep = None
         if nd["prep"] is not None:
+            _require(nd["prep"], ("matrix", "shear"), f"the prep of node {nid}")
             mat = nd["prep"]["matrix"]
-            node.prep = Preparation(
+            prep = Preparation(
                 None
                 if mat is None
                 else tuple(tuple(Fraction(x) for x in row) for row in mat),
                 None if nd["prep"]["shear"] is None else _jet_from_json(nd["prep"]["shear"]),
             )
-        node.center = None if nd["center_indices"] is None else tuple(nd["center_indices"])
-        node.chart_index = nd["chart_index"]
-        node.identity = nd["identity"]
-        node.pair = None if nd["invariant_pair"] is None else tuple(nd["invariant_pair"])
-        node.s_total = nd["s_total"]
-        node.omega = nd["omega_scaled"]
-        node.assumptions = list(nd["assumptions"])
-        node.budget = nd["budget"]
-        node.blowup_index = nd["blowup_index"]
-        if nd["leaf_checks"] is not None:
-            leaf = dict(nd["leaf_checks"])
-            leaf["strict_transform"] = _jet_from_json(leaf["strict_transform"])
-            leaf["ledger"] = [
-                LedgerEntry(e["eid"], _jet_from_json(e["jet"]), e["origin"])
-                for e in leaf["ledger"]
-            ]
-            node.leaf = leaf
-        tree.nodes.append(node)
-    for node in tree.nodes:
-        node.children = [m for m in tree.nodes if m.parent_id == node.nid]
+        leaf = nd["leaf_checks"]
+        if leaf is not None:
+            _require(leaf, ("strict_transform", "ledger"), f"the leaf checks of node {nid}")
+            leaf = dict(leaf, strict_transform=_jet_from_json(leaf["strict_transform"]), ledger=[])
+            for e in nd["leaf_checks"]["ledger"]:
+                _require(e, ("eid", "jet", "origin"), f"a ledger entry of node {nid}")
+                leaf["ledger"].append(
+                    LedgerEntry(e["eid"], _jet_from_json(e["jet"]), e["origin"])
+                )
+        node = Node(
+            nd["kind"],
+            base_point=None
+            if nd["base_point"] is None
+            else tuple(Fraction(x) for x in nd["base_point"]),
+            prep=prep,
+            center=None if nd["center_indices"] is None else tuple(nd["center_indices"]),
+            chart_index=nd["chart_index"],
+            identity=nd["identity"],
+            pair=None if nd["invariant_pair"] is None else tuple(nd["invariant_pair"]),
+            s_total=nd["s_total"],
+            omega=nd["omega_scaled"],
+            assumptions=nd["assumptions"],
+            budget=nd["budget"],
+            leaf=leaf,
+            nid=nid,
+            parent_id=parent_id,
+            blowup_index=nd["blowup_index"],
+        )
+        if parent_id is not None:
+            by_id[parent_id].children.append(node)
+        by_id[nid] = node
+        nodes.append(node)
+    tree.nodes, tree._by_id = nodes, by_id
     return tree
 
 
@@ -802,14 +709,6 @@ def _check_path_budget(ctx: _Ctx, depth: int):
         raise BudgetError(
             f"a path exceeded the configured blow-up budget ({ctx.config.max_blowups})"
         )
-
-
-def _run_children(tasks, ctx: _Ctx):
-    if ctx.config.parallel and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=len(tasks)) as ex:
-            futures = [ex.submit(t) for t in tasks]
-            return [f.result() for f in futures]
-    return [t() for t in tasks]
 
 
 def _leaf_node(model: LocalModel, passed: bool, extra=None, assumptions=()):
@@ -874,17 +773,8 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
         prepped = _model(g2, pm.ledger, prepared=True)
     scale = factorial(d_front) if front_entry is None else 1
     assumptions = []
-    if front_entry is None:
-        cs, bs = coefficient_data(prepped, d_front)
-    else:
-        cs = {}
-        bs = {}
-        n = prepped.nvars
-        for entry in prepped.ledger.through_origin():
-            if entry.eid == front_entry:
-                continue
-            jet = entry.jet.restrict_set_zero(n - 1)
-            bs[entry.eid] = None if jet.is_zero() else MarkedFunction(jet, 1)
+    cs, bs = coefficient_data(prepped, d_front)
+    bs.pop(front_entry, None)
     for q, mf in sorted(cs.items()):
         if mf is None:
             assumptions.append(
@@ -1199,42 +1089,32 @@ def _monomial_loop(model, prep, phase, omegas, ctx, depth, assumptions):
             f"phase stretch exceeded its budget of {phase.stretch_limit} blow-ups"
         )
     center = monomial_centers(omega)[0]
+    return [
+        _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptions)
+        for i in center.indices
+    ]
+
+
+def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptions):
+    """Blow up ``center`` in chart i and continue from the chart origin."""
     n = model.nvars
     m = n - 1
-    positions = [i for i in center.indices if i != m]
-
-    def make_task(i):
-        def task():
-            chart = ChartMap(center, i)
-            g2 = chart.pullback(model.g)
-            if phase.front_entry is None:
-                mu = order_along_center(model.g, center)
-                if not mu.is_finite or mu.value != phase.d:
-                    raise AlgorithmError(
-                        "the chosen center is not equimultiple for the hypersurface"
-                    )
-                for _ in range(phase.d):
-                    g2 = g2.divide_by_coordinate(i)
-            ledger2 = _transform_ledger(model.ledger, chart)
-            ledger2 = _new_exceptional(ledger2, i, n, g2.trunc)
-            child = _model(g2, ledger2, prepared=True)
-            predicted = None
-            if i != m:
-                predicted = {k: om.updated(positions, i) for k, om in omegas.items()}
-            return _monomial_child(
-                child, chart, predicted, prep, phase, ctx, depth, assumptions, i
-            )
-
-        return task
-
-    tasks = [make_task(i) for i in center.indices]
-    return _run_children(tasks, ctx)
-
-
-def _monomial_child(child, chart, predicted, prep, phase, ctx, depth, assumptions, i):
+    chart = ChartMap(center, i)
+    g2 = chart.pullback(model.g)
+    if phase.front_entry is None:
+        mu = order_along_center(model.g, center)
+        if not mu.is_finite or mu.value != phase.d:
+            raise AlgorithmError("the chosen center is not equimultiple for the hypersurface")
+        for _ in range(phase.d):
+            g2 = g2.divide_by_coordinate(i)
+    ledger2 = _transform_ledger(model.ledger, chart)
+    ledger2 = _new_exceptional(ledger2, i, n, g2.trunc)
+    child = _model(g2, ledger2, prepared=True)
+    predicted = None
+    if i != m:
+        positions = [j for j in center.indices if j != m]
+        predicted = {k: om.updated(positions, i) for k, om in omegas.items()}
     _check_path_budget(ctx, depth + 1)
-    n = child.nvars
-    m = n - 1
     node = Node(
         KIND_BLOWUP,
         prep=prep,
@@ -1402,19 +1282,13 @@ def _root_nodes(g: Jet, ctx: _Ctx):
     return roots
 
 
-def _default_names(n):
-    if n <= 3:
-        return ["x", "y", "z"][:n]
-    return [f"x{i + 1}" for i in range(n)]
-
-
 def resolve_hypersurface(g: Jet, config: RunConfig | None = None, var_names=None) -> ResolutionTree:
     """Resolve the hypersurface germ g = 0: at every leaf origin the final
     strict transform has order at most one and crosses the accumulated
     exceptionals (and the Jacobian divisor) normally."""
     config = config or RunConfig()
     ctx = _Ctx(config=config, mode=RESOLVE)
-    names = tuple(var_names) if var_names else tuple(_default_names(g.nvars))
+    names = tuple(var_names) if var_names else tuple(default_names(g.nvars))
     return ResolutionTree(RESOLVE, config, [g], names, _root_nodes(g, ctx))
 
 
@@ -1423,7 +1297,7 @@ def monomialize_principal(g: Jet, config: RunConfig | None = None, var_names=Non
     of g is a monomial times a unit in every leaf chart."""
     config = config or RunConfig()
     ctx = _Ctx(config=config, mode=MONOMIALIZE)
-    names = tuple(var_names) if var_names else tuple(_default_names(g.nvars))
+    names = tuple(var_names) if var_names else tuple(default_names(g.nvars))
     return ResolutionTree(MONOMIALIZE, config, [g], names, _root_nodes(g, ctx))
 
 
@@ -1439,7 +1313,7 @@ def rectilinearize(gs, config: RunConfig | None = None, var_names=None) -> Resol
     for g in gs[1:]:
         prod_jet = prod_jet * g
     ctx = _Ctx(config=config, mode=RECTILINEARIZE)
-    names = tuple(var_names) if var_names else tuple(_default_names(prod_jet.nvars))
+    names = tuple(var_names) if var_names else tuple(default_names(prod_jet.nvars))
     return ResolutionTree(
         RECTILINEARIZE, config, [prod_jet] + gs, names, _root_nodes(prod_jet, ctx)
     )

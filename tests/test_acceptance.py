@@ -6,7 +6,6 @@ comparisons (rational arithmetic throughout).
 
 from fractions import Fraction
 from itertools import product
-import json
 import random
 
 from resolvkit.blowup import (
@@ -359,8 +358,4 @@ def test_11_determinism_across_bundled_examples():
         a = _run_bundled(mode, exprs).to_json()
         b = _run_bundled(mode, exprs).to_json()
         assert a == b, (mode, exprs)
-        c = _run_bundled(mode, exprs, RunConfig(parallel=True)).to_json_dict()
-        a_dict = json.loads(a)
-        assert a_dict["nodes"] == c["nodes"], (mode, exprs)
-        assert a_dict["summary"] == c["summary"], (mode, exprs)
     report(11, "byte-identical output across runs", True, f"{len(BUNDLED)} bundled examples")

@@ -217,12 +217,62 @@ class TestCliRuns:
         assert code == 0
         assert "blow-ups: 0" in text
 
-    def test_parallel_flag_identical(self, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        run_cli(["resolve", "y^2 - x^5", "--emit", "json", "--out", str(a)])
-        run_cli(["resolve", "y^2 - x^5", "--emit", "json", "--out", str(b), "--parallel"])
-        da = json.loads((tmp_path / "a.json").read_text())
-        db = json.loads((tmp_path / "b.json").read_text())
-        assert da["nodes"] == db["nodes"]
-        assert da["summary"] == db["summary"]
+    def test_algorithm_error_exit_five(self):
+        code, text = run_cli(["resolve", "z^3-x*y"])
+        assert code == 5
+        assert text.startswith("error: ")
+        assert "not monomial and comparable" in text
+
+
+def _cusp_tree(tmp_path):
+    run_cli(["resolve", "y^2 - x^3", "--emit", "json", "--out", str(tmp_path / "cusp")])
+    return json.loads((tmp_path / "cusp.json").read_text())
+
+
+def _verify_data(tmp_path, data):
+    (tmp_path / "edited.json").write_text(json.dumps(data))
+    return run_cli(["verify", str(tmp_path / "edited.json")])
+
+
+class TestMalformedTree:
+    def test_missing_config(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        del data["config"]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "config" in text
+
+    def test_wrong_format(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["format"] = "resolvkit-tree/0"
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "resolvkit-tree/0" in text
+
+    def test_without_parallel_still_verifies(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        assert data["config"].pop("parallel") is False
+        code, text = _verify_data(tmp_path, data)
+        assert code == 0
+        assert "verified: True" in text
+
+    def test_missing_node_key(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        del data["nodes"][3]["kind"]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "'kind'" in text
+
+    def test_duplicate_node_id(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["nodes"][2]["id"] = 1
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "node id 1" in text
+
+    def test_unknown_parent(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["nodes"][1]["parent"] = 42
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "parent 42" in text

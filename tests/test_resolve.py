@@ -18,16 +18,12 @@ from resolvkit.resolve import (
     OmegaScaled,
     RunConfig,
     coefficient_data,
-    geometric_smoothness,
     least_omega,
     monomial_centers,
-    monomial_step,
     monomialize_principal,
-    pair_locus_description,
     prepare_local_model,
     rectilinearize,
     resolve_hypersurface,
-    to_monomial_case,
     tree_from_json_dict,
     verify_resolution,
 )
@@ -99,34 +95,41 @@ class TestCoefficientData:
         cs, _ = coefficient_data(model)
         assert set(cs) == {0, 1, 2}
         assert all(v is None for v in cs.values())
-        assert geometric_smoothness(model)
 
     def test_geometric_smoothness_cases(self):
+        # geometrically smooth: every contact coefficient vanishes
         m1, _ = prepare_local_model(CUSP, EMPTY)
-        assert not geometric_smoothness(m1)
+        assert not all(v is None for v in coefficient_data(m1)[0].values())
         # (1 + x) y^2: both contact coefficients vanish
         m2, _ = prepare_local_model(jet2({(0, 2): 1, (1, 2): 1}), EMPTY)
-        assert geometric_smoothness(m2)
+        assert all(v is None for v in coefficient_data(m2)[0].values())
 
 
 class TestPairLocus:
+    # the nonvanishing marked data cut out the equimultiple locus of the
+    # invariant pair inside the contact hypersurface
     def test_cusp_locus(self):
         model, _ = prepare_local_model(CUSP, EMPTY)
-        gens = pair_locus_description(model)
-        assert len(gens) == 1
-        assert gens[0].jet == Jet(1, 24, {(3,): -1})
-        assert gens[0].mark == 2
+        cs, bs = coefficient_data(model)
+        assert [q for q, mf in cs.items() if mf is not None] == [0]
+        assert cs[0].jet == Jet(1, 24, {(3,): -1})
+        assert cs[0].mark == 2
+        assert bs == {}
 
     def test_pure_square_empty(self):
         model, _ = prepare_local_model(jet2({(0, 2): 1}), EMPTY)
-        assert pair_locus_description(model) == []
+        cs, bs = coefficient_data(model)
+        assert all(mf is None for mf in cs.values())
+        assert bs == {}
 
     def test_with_exceptional(self):
         led = ExceptionalLedger([LedgerEntry(0, Jet.variable(0, 2, T), "new")])
         model, _ = prepare_local_model(jet2({(0, 2): 1, (4, 0): 1}), led)
-        gens = pair_locus_description(model)
-        marks = sorted(g.mark for g in gens)
-        assert marks == [1, 2]
+        cs, bs = coefficient_data(model)
+        assert cs[0].jet == Jet(1, 24, {(4,): 1})
+        assert cs[0].mark == 2
+        assert bs[0].jet == Jet.variable(0, 1, T)
+        assert bs[0].mark == 1
 
 
 class TestOmegaMachinery:
@@ -299,12 +302,6 @@ class TestDeterminismAndJson:
         b = resolve_hypersurface(CUSP).to_json()
         assert a == b
 
-    def test_parallel_identical_nodes(self):
-        a = resolve_hypersurface(CUSP).to_json_dict()
-        b = resolve_hypersurface(CUSP, RunConfig(parallel=True)).to_json_dict()
-        assert a["nodes"] == b["nodes"]
-        assert a["summary"] == b["summary"]
-
     def test_round_trip_verify(self):
         tree = resolve_hypersurface(jet2({(0, 2): 1, (5, 0): -1}))
         rep1 = verify_resolution(tree)
@@ -425,37 +422,29 @@ class TestChartPointExclusion:
 
 class TestToMonomialCase:
     def test_cusp_already_monomial(self):
-        model, _ = prepare_local_model(CUSP, EMPTY)
-        out = to_monomial_case(model)
-        assert len(out) == 1
-        same, omegas = out[0]
-        assert same.g == model.g
-        # exponent 3 with mark 2: scaled vector (3,) at scale 2! = 2
-        assert omegas[("c", 0)] == OmegaScaled((3,), 2)
+        # the cusp datum x^3 (mark 2) is already monomial: no reduction, the
+        # root phase blows up at once with budget |(3,)| = 3 at scale 2! = 2
+        root = resolve_hypersurface(CUSP).roots()[0]
+        assert [ch.center for ch in root.children] == [(0, 1), (0, 1)]
+        assert all(ch.budget == {"limit": 3, "step": 1} for ch in root.children)
 
     def test_cone_needs_reduction(self):
         cone = Jet(3, T, {(0, 0, 2): 1, (2, 0, 0): 1, (0, 2, 0): -1})
-        model, _ = prepare_local_model(cone, EMPTY)
-        out = to_monomial_case(model)
-        assert len(out) >= 2
-        for lifted, omegas in out:
-            cs, _ = coefficient_data(lifted, 2)
-            for q, mf in cs.items():
-                if mf is not None:
-                    assert mf.jet.monomial_unit_decompose() is not None
+        tree = resolve_hypersurface(cone)
+        assert verify_resolution(tree).all_passed
+        # the data x^2 - y^2 are not monomial: the reduction blows up inside
+        # the contact hypersurface {z = 0} before the monomial loop starts
+        reduction = tree.roots()[0].children
+        assert len(reduction) >= 2
+        assert all(2 not in nd.center and nd.budget is None for nd in reduction)
 
     def test_monomial_step_cusp(self):
-        model, _ = prepare_local_model(CUSP, EMPTY)
-        _, omegas = to_monomial_case(model)[0]
-        center, results = monomial_step(model, omegas)
-        assert center.indices == (0, 1)
-        by_chart = {i: (child, upd) for i, child, upd in results}
-        child0, upd0 = by_chart[0]
-        assert upd0[("c", 0)] == OmegaScaled((1,), 2)
-        assert child0.g == jet2({(0, 2): 1, (1, 0): -1}, trunc=22)
-        child1, upd1 = by_chart[1]
-        assert upd1 is None
-        assert child1.g.is_unit()
+        tree = resolve_hypersurface(CUSP)
+        by_chart = {nd.chart_index: nd for nd in tree.roots()[0].children}
+        assert by_chart[0].center == (0, 1)
+        assert by_chart[0].model.g == jet2({(0, 2): 1, (1, 0): -1}, trunc=22)
+        assert by_chart[1].model.g.is_unit()
+        assert OmegaScaled((3,), 2).updated([0], 0) == OmegaScaled((1,), 2)
 
 
 class TestExceptionalOnlyEndgame:
