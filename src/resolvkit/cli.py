@@ -7,8 +7,8 @@ an independent cross-check), dc (growth-sequence analysis), and verify
 
 Exit codes: 0 success with all checks passed, 2 checks failed (a report is
 still emitted), 3 truncation or blow-up budget exhausted, 4 input error
-(including a malformed tree JSON), 5 an internal invariant of the algorithm
-failed (the input is not yet supported).
+(including a malformed tree JSON and a bad command line), 5 an internal
+invariant of the algorithm failed (the input is not yet supported).
 All output is deterministic: maps are serialized in sorted key order.
 """
 
@@ -63,8 +63,18 @@ def _default_truncation() -> int:
         raise SystemExit(f"invalid {ENV_TRUNCATION}={raw!r}")
 
 
+class UsageError(Exception):
+    """A bad command line: an input error, not argparse's exit 2."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # subparsers are made with the class of their parent, so they raise too
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="resolvkit",
         description="exact resolution of singularities for polynomial jets",
     )
@@ -269,9 +279,8 @@ def _cmd_verify(args, out):
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "resolve":
             return _cmd_run(args, RESOLVE, out)
         if args.command == "monomialize":
@@ -288,7 +297,7 @@ def main(argv=None, out=None) -> int:
     except (TruncationError, BudgetError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_RESOURCES
-    except (ParseError, ShapeError, ValueError, OSError) as exc:
+    except (UsageError, ParseError, ShapeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_INPUT
     except AlgorithmError as exc:

@@ -522,9 +522,22 @@ def _jet_json(j: Jet) -> dict:
     }
 
 
-def _jet_from_json(d) -> Jet:
-    _require(d, ("nvars", "trunc", "terms"), "a jet")
-    return Jet(d["nvars"], d["trunc"], {tuple(a): Fraction(c) for a, c in d["terms"]})
+def _jet_from_json(d, where: str) -> Jet:
+    """Read a jet through the validating ``Jet(...)``; a bad value raises
+    ValueError naming ``where``."""
+    _require(d, ("nvars", "trunc", "terms"), where)
+    coeffs = {}
+    for t in _list(d["terms"], f"the terms of {where}"):
+        if not (isinstance(t, list) and len(t) == 2):
+            raise ValueError(f"tree JSON: a term of {where} is not [exponents, coefficient]")
+        alpha = _ints(t[0], f"an exponent of {where}")
+        coeffs[alpha] = _rational(t[1], f"a coefficient of {where}")
+    nvars = _int(d["nvars"], f"nvars of {where}")
+    trunc = _int(d["trunc"], f"trunc of {where}")
+    try:
+        return Jet(nvars, trunc, coeffs)
+    except ShapeError as exc:
+        raise ValueError(f"tree JSON: {where}: {exc}") from None
 
 
 def _node_json(n: Node) -> dict:
@@ -576,29 +589,74 @@ def _require(d, keys, where: str):
             raise ValueError(f"tree JSON: {where} has no key {k!r}")
 
 
+def _int(v, where: str) -> int:
+    if type(v) is not int:  # bool is an int subclass, and not a count
+        raise ValueError(f"tree JSON: {where} is not an integer")
+    return v
+
+
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"tree JSON: {where} is not a list")
+    return v
+
+
+def _rational(v, where: str) -> Fraction:
+    """A rational written as a string (as the writer does) or an integer."""
+    if type(v) in (str, int):
+        try:
+            return Fraction(v)
+        except ValueError:
+            pass
+    raise ValueError(f"tree JSON: {where} is not a rational number")
+
+
+def _ints(v, where: str) -> tuple:
+    return tuple(_int(x, where) for x in _list(v, where))
+
+
+def _rationals(v, where: str) -> tuple:
+    return tuple(_rational(x, where) for x in _list(v, where))
+
+
+def _matrix(v, where: str) -> tuple:
+    return tuple(_rationals(row, where) for row in _list(v, where))
+
+
+def _opt(v, read, where: str):
+    """``None`` as it is, any other value through ``read``."""
+    return None if v is None else read(v, where)
+
+
 def tree_from_json_dict(data: dict) -> "ResolutionTree":
     """Rebuild a tree object from its JSON form for re-auditing.
 
     Raises ValueError, naming the key or node id, on a wrong format, a missing
-    key, a duplicate node id, or a parent that does not precede its child.
+    key, a value of the wrong type, a duplicate node id, or a parent that does
+    not precede its child.  Jets are read through the validating ``Jet(...)``.
     """
     _require(data, _TREE_KEYS, "the tree")
     if data["format"] != TREE_FORMAT:
         raise ValueError(f"tree JSON: format {data['format']!r} is not {TREE_FORMAT!r}")
     _require(data["config"], ("truncation", "max_blowups"), "config")
     cfg = RunConfig(
-        truncation=data["config"]["truncation"],
-        max_blowups=data["config"]["max_blowups"],
+        truncation=_int(data["config"]["truncation"], "config.truncation"),
+        max_blowups=_int(data["config"]["max_blowups"], "config.max_blowups"),
     )
+    inputs = _list(data["input"], "input")
+    if not inputs:
+        raise ValueError("tree JSON: input is empty")
     tree = ResolutionTree.__new__(ResolutionTree)
     tree.mode = data["mode"]
     tree.config = cfg
-    tree.input_jets = tuple(_jet_from_json(j) for j in data["input"])
-    tree.var_names = tuple(data["variables"])
+    tree.input_jets = tuple(_jet_from_json(j, f"input jet {k}") for k, j in enumerate(inputs))
+    tree.var_names = tuple(_list(data["variables"], "variables"))
     nodes, by_id = [], {}
-    for pos, nd in enumerate(data["nodes"]):
+    for pos, nd in enumerate(_list(data["nodes"], "nodes")):
         _require(nd, _NODE_KEYS, f"node entry {pos}")
-        nid, parent_id = nd["id"], nd["parent"]
+        nid = _int(nd["id"], f"the id of node entry {pos}")
+        where = f"node {nid}"
+        parent_id = _opt(nd["parent"], _int, f"the parent of {where}")
         if nid in by_id:
             raise ValueError(f"tree JSON: node id {nid} occurs twice")
         # a parent must come first: this links children in one pass and
@@ -607,38 +665,36 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
             raise ValueError(
                 f"tree JSON: node {nid} names parent {parent_id}, which does not precede it"
             )
+        if nd["kind"] not in (KIND_COVERING, KIND_BLOWUP, KIND_LEAF):
+            raise ValueError(f"tree JSON: {where} has unknown kind {nd['kind']!r}")
         prep = None
         if nd["prep"] is not None:
-            _require(nd["prep"], ("matrix", "shear"), f"the prep of node {nid}")
-            mat = nd["prep"]["matrix"]
+            _require(nd["prep"], ("matrix", "shear"), f"the prep of {where}")
             prep = Preparation(
-                None
-                if mat is None
-                else tuple(tuple(Fraction(x) for x in row) for row in mat),
-                None if nd["prep"]["shear"] is None else _jet_from_json(nd["prep"]["shear"]),
+                _opt(nd["prep"]["matrix"], _matrix, f"the matrix of {where}"),
+                _opt(nd["prep"]["shear"], _jet_from_json, f"the shear of {where}"),
             )
         leaf = nd["leaf_checks"]
         if leaf is not None:
-            _require(leaf, ("strict_transform", "ledger"), f"the leaf checks of node {nid}")
-            leaf = dict(leaf, strict_transform=_jet_from_json(leaf["strict_transform"]), ledger=[])
-            for e in nd["leaf_checks"]["ledger"]:
-                _require(e, ("eid", "jet", "origin"), f"a ledger entry of node {nid}")
-                leaf["ledger"].append(
-                    LedgerEntry(e["eid"], _jet_from_json(e["jet"]), e["origin"])
-                )
+            _require(leaf, ("strict_transform", "ledger"), f"the leaf checks of {where}")
+            ledger = []
+            for e in _list(leaf["ledger"], f"the ledger of {where}"):
+                _require(e, ("eid", "jet", "origin"), f"a ledger entry of {where}")
+                jet = _jet_from_json(e["jet"], f"a ledger jet of {where}")
+                ledger.append(LedgerEntry(e["eid"], jet, e["origin"]))
+            strict = _jet_from_json(leaf["strict_transform"], f"the strict transform of {where}")
+            leaf = dict(leaf, strict_transform=strict, ledger=ledger)
         node = Node(
             nd["kind"],
-            base_point=None
-            if nd["base_point"] is None
-            else tuple(Fraction(x) for x in nd["base_point"]),
+            base_point=_opt(nd["base_point"], _rationals, f"the base point of {where}"),
             prep=prep,
-            center=None if nd["center_indices"] is None else tuple(nd["center_indices"]),
-            chart_index=nd["chart_index"],
+            center=_opt(nd["center_indices"], _ints, f"the center of {where}"),
+            chart_index=_opt(nd["chart_index"], _int, f"the chart index of {where}"),
             identity=nd["identity"],
-            pair=None if nd["invariant_pair"] is None else tuple(nd["invariant_pair"]),
+            pair=_opt(nd["invariant_pair"], _ints, f"the invariant pair of {where}"),
             s_total=nd["s_total"],
             omega=nd["omega_scaled"],
-            assumptions=nd["assumptions"],
+            assumptions=_list(nd["assumptions"], f"the assumptions of {where}"),
             budget=nd["budget"],
             leaf=leaf,
             nid=nid,
@@ -1340,9 +1396,12 @@ class VerifyReport:
     all_passed: bool
     leaves: tuple
     assumptions: tuple
+    structure: tuple = ()  # reasons the tree's shape is incomplete
 
     def lines(self):
         out = []
+        if self.structure:
+            out.append(f"tree: FAIL reasons={list(self.structure)}")
         for la in self.leaves:
             status = "PASS" if la.passed else "FAIL"
             out.append(
@@ -1374,6 +1433,29 @@ def _node_step_map(node: Node, n: int, trunc: int) -> PolyMap | None:
     return step
 
 
+def _structure_problems(tree: ResolutionTree) -> list:
+    """Charts missing from the tree: the children of a node that carry one
+    center must be exactly one chart per center index, every node that is not
+    a leaf needs children, and the tree needs a leaf."""
+    out = []
+    for node in tree.nodes:
+        if node.kind != KIND_LEAF and not node.children:
+            out.append(f"node {node.nid} is not a leaf and has no children")
+        charts = {}
+        for child in node.children:
+            if child.center is not None:
+                charts.setdefault(child.center, []).append(child.chart_index)
+        for center, indices in charts.items():
+            if len(indices) != len(set(center)) or set(indices) != set(center):
+                out.append(
+                    f"the blow-up of node {node.nid} along {list(center)} "
+                    f"has the charts {indices}"
+                )
+    if not tree.leaves():
+        out.append("the tree has no leaf")
+    return out
+
+
 def verify_resolution(tree: ResolutionTree) -> VerifyReport:
     """Replay the whole tree from the input and re-check every leaf.
 
@@ -1381,7 +1463,8 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
     on the nodes: strict transforms are recomputed by factoring maximal
     exceptional powers from pullbacks, ledgers are rebuilt entry by entry, and
     the composed map gives the total transform and the Jacobian determinant.
-    The stored leaf snapshots must match the recomputation exactly.
+    The stored leaf snapshots must match the recomputation exactly, and the
+    tree must hold every chart of each blow-up it records.
     """
     from .series import mat_det
 
@@ -1558,8 +1641,10 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
                 reasons=tuple(reasons),
             )
         )
+    structure = _structure_problems(tree)
     return VerifyReport(
-        all_passed=all(a.passed for a in audits),
+        all_passed=not structure and all(a.passed for a in audits),
         leaves=tuple(audits),
         assumptions=tuple(tree.assumptions),
+        structure=tuple(structure),
     )

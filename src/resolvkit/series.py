@@ -10,12 +10,20 @@ smaller recorded truncation instead of silently padding.
 All coefficients are ``fractions.Fraction`` values; there is no floating point
 anywhere in this module.  Jets are immutable after construction and every
 operation is a pure function, so values can be shared freely between tasks.
+
+``Jet(...)`` validates and normalizes whatever it is given; it is the only way
+in for outside data (parsed expressions, tree JSON, user code).  The private
+``Jet._trusted`` wraps a dict without looking at it, and only the operations
+of this module use it, on dicts that are clean by construction: tuple keys of
+the right length with nonnegative entries of total degree at most ``trunc``,
+and nonzero ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add, itemgetter
 
 Multiindex = tuple[int, ...]
 
@@ -128,6 +136,19 @@ class Jet:
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "_c", clean)
 
+    @classmethod
+    def _trusted(cls, nvars: int, trunc: int, clean: dict) -> "Jet":
+        """Wrap ``clean`` as it is, without validation; the jet owns it.
+
+        For this module's operations only: ``clean`` must already satisfy
+        every invariant that ``__init__`` establishes.
+        """
+        jet = object.__new__(cls)
+        object.__setattr__(jet, "nvars", nvars)
+        object.__setattr__(jet, "trunc", trunc)
+        object.__setattr__(jet, "_c", clean)
+        return jet
+
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
@@ -211,10 +232,10 @@ class Jet:
                 out.pop(a, None)
             else:
                 out[a] = s
-        return Jet(self.nvars, self.trunc, out)
+        return Jet._trusted(self.nvars, self.trunc, out)
 
     def __neg__(self) -> "Jet":
-        return Jet(self.nvars, self.trunc, {a: -c for a, c in self._c.items()})
+        return Jet._trusted(self.nvars, self.trunc, {a: -c for a, c in self._c.items()})
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + (-other)
@@ -223,24 +244,26 @@ class Jet:
         r = _frac(r)
         if r == 0:
             return Jet.zero(self.nvars, self.trunc)
-        return Jet(self.nvars, self.trunc, {a: c * r for a, c in self._c.items()})
+        return Jet._trusted(self.nvars, self.trunc, {a: c * r for a, c in self._c.items()})
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._check_shape(other)
         T = self.trunc
+        # other's terms by degree, so each row stops at the first one too high
+        bs = sorted(((sum(b), b, cb) for b, cb in other._c.items()), key=itemgetter(0))
         out: dict[Multiindex, Fraction] = {}
         for a, ca in self._c.items():
-            da = sum(a)
-            for b, cb in other._c.items():
-                if da + sum(b) > T:
-                    continue
-                key = tuple(x + y for x, y in zip(a, b))
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
+            room = T - sum(a)
+            for db, b, cb in bs:
+                if db > room:
+                    break
+                key = tuple(map(add, a, b))
+                s = out.get(key, 0) + ca * cb
+                if s:
                     out[key] = s
-        return Jet(self.nvars, self.trunc, out)
+                else:
+                    del out[key]
+        return Jet._trusted(self.nvars, T, out)
 
     def __pow__(self, e: int) -> "Jet":
         if not isinstance(e, int) or e < 0:
@@ -262,7 +285,9 @@ class Jet:
             )
         if trunc == self.trunc:
             return self
-        return Jet(self.nvars, trunc, self._c)
+        return Jet._trusted(
+            self.nvars, trunc, {a: c for a, c in self._c.items() if sum(a) <= trunc}
+        )
 
     # -- calculus ----------------------------------------------------------
 
@@ -279,7 +304,7 @@ class Jet:
             b = list(a)
             b[i] -= 1
             out[tuple(b)] = c * a[i]
-        return Jet(self.nvars, self.trunc - 1, out)
+        return Jet._trusted(self.nvars, self.trunc - 1, out)
 
     def nth_partial(self, i: int, q: int) -> "Jet":
         f = self
@@ -337,7 +362,7 @@ class Jet:
             b = list(a)
             b[i] -= 1
             out[tuple(b)] = c
-        return Jet(self.nvars, self.trunc - 1, out)
+        return Jet._trusted(self.nvars, self.trunc - 1, out)
 
     def factor_coordinate_power(self, i: int) -> tuple[int, "Jet"]:
         """Largest e with x_i^e dividing this jet, and the exact quotient."""
@@ -378,14 +403,14 @@ class Jet:
             if a[i] != 0:
                 continue
             out[a[:i] + a[i + 1 :]] = c
-        return Jet(self.nvars - 1, self.trunc, out)
+        return Jet._trusted(self.nvars - 1, self.trunc, out)
 
     def insert_var(self, pos: int) -> "Jet":
         """Embed into one more variable, inserted at position ``pos``."""
         if not 0 <= pos <= self.nvars:
             raise ShapeError("insertion position out of range")
         out = {a[:pos] + (0,) + a[pos:]: c for a, c in self._c.items()}
-        return Jet(self.nvars + 1, self.trunc, out)
+        return Jet._trusted(self.nvars + 1, self.trunc, out)
 
     def recenter(self, point) -> "Jet":
         """Translate the frame: returns the jet of f(x + point).
@@ -414,7 +439,7 @@ class Jet:
                         out[b] = s
                     pw *= p
             coeffs = out
-        return Jet(self.nvars, self.trunc, coeffs)
+        return Jet._trusted(self.nvars, self.trunc, coeffs)
 
 
 def format_jet(jet: Jet, names=None) -> str:
@@ -627,21 +652,26 @@ def substitute(f: Jet, g, base=None) -> Jet:
     if any(b != 0 for b in base):
         f = f.recenter(base)
     f = f.with_truncation(T)
-    shifted = [c - Jet.constant(b, n, T) for c, b in zip(comps, base)]
-    # powers[i][k] = shifted_i ** k, built on demand
-    powers: list[list[Jet]] = [[Jet.constant(1, n, T), h] for h in shifted]
-    result = Jet.zero(n, T)
-    for alpha, c in f.terms():
-        if sum(alpha) > T:
-            continue
-        term = Jet.constant(c, n, T)
+    shifted = [c - Jet.constant(b, n, T) if b else c for c, b in zip(comps, base)]
+    # powers[i][k] = shifted_i ** k for k >= 1, built on demand
+    powers: list[list[Jet | None]] = [[None, h] for h in shifted]
+    zero = (0,) * n
+    out: dict[Multiindex, Fraction] = {}
+    for alpha, c in f._c.items():
+        prod = None
         for i, e in enumerate(alpha):
-            while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * powers[i][1])
             if e:
-                term = term * powers[i][e]
-        result = result + term
-    return result
+                pw = powers[i]
+                while len(pw) <= e:
+                    pw.append(pw[-1] * pw[1])
+                prod = pw[e] if prod is None else prod * pw[e]
+        for key, v in prod._c.items() if prod is not None else [(zero, 1)]:
+            s = out.get(key, 0) + c * v
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return Jet._trusted(n, T, out)
 
 
 def compose_maps(outer: PolyMap, inner: PolyMap) -> PolyMap:

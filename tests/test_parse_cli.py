@@ -217,6 +217,17 @@ class TestCliRuns:
         assert code == 0
         assert "blow-ups: 0" in text
 
+    def test_usage_error_exit_four(self):
+        code, text = run_cli(["resolve", "y^2-x^3", "--parallel"])
+        assert code == 4
+        assert text.startswith("error: unrecognized arguments: --parallel")
+        code, text = run_cli(["resolve", "y^2-x^3", "--truncation", "abc"])
+        assert code == 4
+        assert "invalid int value" in text
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["resolve", "--help"])
+        assert exc.value.code == 0
+
     def test_algorithm_error_exit_five(self):
         code, text = run_cli(["resolve", "z^3-x*y"])
         assert code == 5
@@ -276,3 +287,52 @@ class TestMalformedTree:
         code, text = _verify_data(tmp_path, data)
         assert code == 4
         assert "parent 42" in text
+
+    def test_node_id_not_an_integer(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["nodes"][2]["id"] = [2]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "the id of node entry 2 is not an integer" in text
+
+    def test_truncation_not_an_integer(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["config"]["truncation"] = "24"
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "config.truncation is not an integer" in text
+
+    def test_jet_term_not_a_pair_of_exponents_and_coefficient(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["input"][0]["terms"][0] = [1, "2"]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "input jet 0" in text
+
+
+class TestIncompleteTree:
+    """Trees the reader accepts but whose charts do not cover the blow-ups."""
+
+    def test_chart_subtree_removed(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        # nodes 9 and 10: chart 1 of the root blow-up and its leaf
+        assert [nd["chart_index"] for nd in data["nodes"] if nd["parent"] == 0] == [0, 1]
+        data["nodes"] = [nd for nd in data["nodes"] if nd["id"] not in (9, 10)]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 2
+        assert "the blow-up of node 0 along [0, 1] has the charts [0]" in text
+        assert "verified: False" in text
+
+    def test_no_nodes(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["nodes"] = []
+        code, text = _verify_data(tmp_path, data)
+        assert code == 2
+        assert "the tree has no leaf" in text
+
+    def test_inner_node_without_children(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["nodes"] = [nd for nd in data["nodes"] if nd["id"] != 10]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 2
+        assert "node 9 is not a leaf and has no children" in text

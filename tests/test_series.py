@@ -3,6 +3,7 @@
 from fractions import Fraction
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from resolvkit.series import (
@@ -354,3 +355,95 @@ class TestMiscViews:
         pm = PolyMap([x_() * y_(), y_()])
         # d(xy)/dx * d(y)/dy - d(xy)/dy * d(y)/dx = y
         assert pm.jacobian_det() == jet2({(0, 1): 1}, trunc=23)
+
+
+# -- properties: operations keep the invariants of Jet(...) and the ring laws ---
+
+SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def shapes(draw):
+    return draw(st.integers(1, 3)), draw(st.integers(0, 8))
+
+
+@st.composite
+def jets(draw, shape, max_terms=6, constant=True):
+    n, T = shape
+    exps = st.tuples(*[st.integers(0, T) for _ in range(n)])
+    terms = draw(st.dictionaries(exps, RATIONALS, max_size=max_terms))
+    if not constant:
+        terms.pop((0,) * n, None)
+    return Jet(n, T, terms)
+
+
+def jet_tuples(k, **kwargs):
+    return shapes().flatmap(lambda s: st.tuples(*[jets(s, **kwargs)] * k))
+
+
+def assert_clean(r):
+    """r holds exactly what the validating constructor would make of it."""
+    assert r == Jet(r.nvars, r.trunc, r._c)
+    assert all(type(a) is tuple and type(c) is Fraction for a, c in r._c.items())
+
+
+class TestKernelProperties:
+    @SETTINGS
+    @given(jet_tuples(2), RATIONALS, st.data())
+    def test_results_are_clean(self, ab, scalar, data):
+        a, b = ab
+        n, T = a.nvars, a.trunc
+        results = [a + b, a - b, -a, a * b, a.scale(scalar)]
+        results.append(a.with_truncation(data.draw(st.integers(0, T))))
+        results.append(a.recenter(data.draw(st.lists(RATIONALS, min_size=n, max_size=n))))
+        results.append(a.restrict_set_zero(data.draw(st.integers(0, n - 1))))
+        results.append(a.insert_var(data.draw(st.integers(0, n))))
+        if T >= 1:
+            results.append(a.partial(data.draw(st.integers(0, n - 1))))
+        for r in results:
+            assert_clean(r)
+
+    @SETTINGS
+    @given(jet_tuples(3))
+    def test_ring_laws(self, abc):
+        a, b, c = abc
+        n, T = a.nvars, a.trunc
+        one, zero = Jet.constant(1, n, T), Jet.zero(n, T)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert (a + b) * c == a * c + b * c
+        assert a + zero == a and a * one == a and a - a == zero
+        assert a.scale(3) == Jet.constant(3, n, T) * a
+
+    @SETTINGS
+    @given(shapes(), st.integers(1, 3), st.data())
+    def test_substitute(self, shape, p, data):
+        """Clean results, and substitution into a map without constant term is
+        a ring homomorphism."""
+        n, T = shape
+        f, g = data.draw(st.tuples(*[jets((p, T), max_terms=4)] * 2))
+        m = data.draw(st.lists(jets(shape, max_terms=3, constant=False), min_size=p, max_size=p))
+        sf, sg = substitute(f, m), substitute(g, m)
+        assert_clean(sf)
+        assert_clean(sg)
+        assert substitute(f * g, m) == sf * sg
+        assert substitute(f + g, m) == sf + sg
+        shifted = [c + Jet.constant(data.draw(RATIONALS), n, T) for c in m]
+        assert_clean(substitute(f, shifted))
+
+    def test_substitute_cancellation_is_pruned(self):
+        x, y = Jet.variable(0, 2, 6), Jet.variable(1, 2, 6)
+        t = Jet.variable(0, 1, 6)
+        r = substitute(x * x - x * y, [t, t])  # t^2 - t^2
+        assert_clean(r)
+        assert r.is_zero()
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ShapeError):
+            Jet(2, 4, {(1,): 1})
+        with pytest.raises(ShapeError):
+            Jet(2, 4, {(1, -1): 1})
+        with pytest.raises(TypeError):
+            Jet(2, 4, {(1, 0): 0.5})
+        assert Jet(2, 2, {(1, 0): 1, (2, 1): 5, (0, 1): 0})._c == {(1, 0): Fraction(1)}
