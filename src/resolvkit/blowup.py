@@ -304,9 +304,6 @@ class ExceptionalLedger:
     def through_origin(self):
         return [e for e in self.entries if e.through_origin]
 
-    def with_entry(self, entry: LedgerEntry) -> "ExceptionalLedger":
-        return ExceptionalLedger(self.entries + (entry,), self.watermark)
-
     def map_jets(self, fn) -> "ExceptionalLedger":
         """Apply a coordinate transformation to every defining jet."""
         return ExceptionalLedger(

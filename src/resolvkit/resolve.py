@@ -44,6 +44,7 @@ from .series import (
     default_names,
     implicit_solve,
     linear_change,
+    mat_det,
     substitute,
 )
 
@@ -233,41 +234,14 @@ def _form_value(form_coeffs, v) -> Fraction:
     return total
 
 
-def _rank(vectors) -> int:
-    work = [list(map(Fraction, v)) for v in vectors]
-    n = len(work[0]) if work else 0
-    rank = 0
-    used = set()
-    for row in work:
-        piv = next((c for c in range(n) if c not in used and row[c] != 0), None)
-        if piv is None:
-            continue
-        used.add(piv)
-        rank += 1
-        inv = Fraction(1) / row[piv]
-        for other in work:
-            if other is not row and other[piv] != 0:
-                f = other[piv] * inv
-                for c in range(n):
-                    other[c] -= f * row[c]
-    return rank
-
-
 def _complete_basis(target, n: int):
-    """Matrix whose last column is the target direction, completed greedily by
-    standard basis vectors in ascending index order."""
-    chosen = []
-    target_col = [Fraction(a) for a in target]
-    for j in range(n):
-        if len(chosen) == n - 1:
-            break
-        trial = chosen + [[Fraction(1 if r == j else 0) for r in range(n)], target_col]
-        if _rank(trial) == len(trial):
-            chosen.append([Fraction(1 if r == j else 0) for r in range(n)])
-    cols = chosen + [target_col]
-    if len(cols) != n:
-        raise AlgorithmError("failed to complete the direction to a basis")
-    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
+    """Matrix whose last column is the nonzero target direction, after the
+    standard basis vectors in ascending order but the one at the target's
+    last nonzero index; that entry of the target keeps the matrix invertible."""
+    k = max(j for j, a in enumerate(target) if a != 0)
+    cols = [[Fraction(int(r == j)) for r in range(n)] for j in range(n) if j != k]
+    cols.append([Fraction(a) for a in target])
+    return tuple(tuple(col[r] for col in cols) for r in range(n))
 
 
 def prepare_local_model(g: Jet, ledger: ExceptionalLedger, d: int | None = None):
@@ -371,8 +345,21 @@ class Node:
         self.assumptions = list(self.assumptions)
 
 
+def _walk(tree, step, start):
+    """Fold ``step(state, node)`` down every root path of the tree, depth
+    first, yielding each node with the state after it; a prefix shared by
+    several leaves is folded once.  An explicit stack, not recursion, so that
+    chains deeper than the recursion limit replay too."""
+    stack = [(root, start) for root in reversed(tree.roots())]
+    while stack:
+        node, state = stack.pop()
+        state = step(state, node)
+        yield node, state
+        stack.extend((child, state) for child in reversed(node.children))
+
+
 class ResolutionTree:
-    """Finished run: nodes in depth-first order with parent links."""
+    """Finished run: nodes with parent links, depth first unless read from JSON."""
 
     def __init__(self, mode, config, input_jets, var_names, roots):
         self.mode = mode
@@ -394,24 +381,12 @@ class ResolutionTree:
         for root in roots:
             walk(root, None, 0)
         self.nodes = nodes
-        self._by_id = {n.nid: n for n in nodes}
 
     def roots(self):
         return [n for n in self.nodes if n.parent_id is None]
 
     def leaves(self):
         return [n for n in self.nodes if n.kind == KIND_LEAF]
-
-    def node_by_id(self, nid: int):
-        return self._by_id[nid]
-
-    def path_to(self, nid: int):
-        out = []
-        node = self.node_by_id(nid)
-        while node is not None:
-            out.append(node)
-            node = self._by_id.get(node.parent_id)
-        return list(reversed(out))
 
     @property
     def blowup_count(self) -> int:
@@ -432,38 +407,39 @@ class ResolutionTree:
     def smooth_after(self) -> int:
         """Blow-ups needed before the strict transform has order at most one
         at every chart origin from there on (maximized over leaves)."""
+
+        def first_smooth(k, node):
+            if k is None and node.pair is not None and node.pair[0] <= 1:
+                return node.blowup_index
+            return k
+
         best = 0
-        for leaf in self.leaves():
-            k = None
-            for node in self.path_to(leaf.nid):
-                if node.pair is not None and node.pair[0] <= 1:
-                    k = node.blowup_index
-                    break
-            if k is None:
-                k = leaf.blowup_index + 1
-            best = max(best, k)
+        for node, k in _walk(self, first_smooth, None):
+            if node.kind == KIND_LEAF:
+                best = max(best, node.blowup_index + 1 if k is None else k)
         return best
 
     # -- serialization ------------------------------------------------------
 
-    def composed_map_to(self, nid: int) -> PolyMap:
-        """Input coordinates as explicit formulas in the node's coordinates."""
-        n = self.input_jets[0].nvars
-        composed = PolyMap.identity(n, self.input_jets[0].trunc)
-        for node in self.path_to(nid):
-            step = _node_step_map(node, n, composed.trunc)
-            if step is not None:
-                composed = compose_maps(composed, step)
-        return composed
-
     def to_json_dict(self) -> dict:
+        # input coordinates as explicit formulas in each leaf's coordinates
+        n = self.input_jets[0].nvars
+
+        def compose(composed, node):
+            step = _node_step_map(node, n, composed.trunc)
+            return composed if step is None else compose_maps(composed, step)
+
+        start = PolyMap.identity(n, self.input_jets[0].trunc)
+        composed_maps = {
+            node.nid: [_jet_json(c) for c in composed.components]
+            for node, composed in _walk(self, compose, start)
+            if node.kind == KIND_LEAF
+        }
         nodes = []
-        for n in self.nodes:
-            nd = _node_json(n)
-            if n.kind == KIND_LEAF:
-                nd["composed_map"] = [
-                    _jet_json(c) for c in self.composed_map_to(n.nid).components
-                ]
+        for node in self.nodes:
+            nd = _node_json(node)
+            if node.kind == KIND_LEAF:
+                nd["composed_map"] = composed_maps[node.nid]
             nodes.append(nd)
         return {
             "format": TREE_FORMAT,
@@ -631,13 +607,17 @@ def _opt(v, read, where: str):
 def tree_from_json_dict(data: dict) -> "ResolutionTree":
     """Rebuild a tree object from its JSON form for re-auditing.
 
-    Raises ValueError, naming the key or node id, on a wrong format, a missing
-    key, a value of the wrong type, a duplicate node id, or a parent that does
-    not precede its child.  Jets are read through the validating ``Jet(...)``.
+    Raises ValueError, naming the key or node id, on a wrong format, an
+    unknown mode, a missing key, a value of the wrong type, a duplicate node
+    id, a parent that does not precede its child, input jets in different
+    frames, or a base point of another length.  Jets are read through the
+    validating ``Jet(...)``.
     """
     _require(data, _TREE_KEYS, "the tree")
     if data["format"] != TREE_FORMAT:
         raise ValueError(f"tree JSON: format {data['format']!r} is not {TREE_FORMAT!r}")
+    if data["mode"] not in (RESOLVE, MONOMIALIZE, RECTILINEARIZE):
+        raise ValueError(f"tree JSON: unknown mode {data['mode']!r}")
     _require(data["config"], ("truncation", "max_blowups"), "config")
     cfg = RunConfig(
         truncation=_int(data["config"]["truncation"], "config.truncation"),
@@ -650,6 +630,10 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
     tree.mode = data["mode"]
     tree.config = cfg
     tree.input_jets = tuple(_jet_from_json(j, f"input jet {k}") for k, j in enumerate(inputs))
+    n = tree.input_jets[0].nvars
+    for k, j in enumerate(tree.input_jets):
+        if j.nvars != n:
+            raise ValueError(f"tree JSON: input jet {k} has {j.nvars} variables, not {n}")
     tree.var_names = tuple(_list(data["variables"], "variables"))
     nodes, by_id = [], {}
     for pos, nd in enumerate(_list(data["nodes"], "nodes")):
@@ -660,7 +644,7 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
         if nid in by_id:
             raise ValueError(f"tree JSON: node id {nid} occurs twice")
         # a parent must come first: this links children in one pass and
-        # rules out parent cycles, on which path_to would never return
+        # rules out parent cycles, so the replay walk reaches every node
         if parent_id is not None and parent_id not in by_id:
             raise ValueError(
                 f"tree JSON: node {nid} names parent {parent_id}, which does not precede it"
@@ -684,9 +668,15 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
                 ledger.append(LedgerEntry(e["eid"], jet, e["origin"]))
             strict = _jet_from_json(leaf["strict_transform"], f"the strict transform of {where}")
             leaf = dict(leaf, strict_transform=strict, ledger=ledger)
+        base_point = _opt(nd["base_point"], _rationals, f"the base point of {where}")
+        if base_point is not None and len(base_point) != n:
+            raise ValueError(
+                f"tree JSON: the base point of {where} has {len(base_point)} "
+                f"coordinates, not {n}"
+            )
         node = Node(
             nd["kind"],
-            base_point=_opt(nd["base_point"], _rationals, f"the base point of {where}"),
+            base_point=base_point,
             prep=prep,
             center=_opt(nd["center_indices"], _ints, f"the center of {where}"),
             chart_index=_opt(nd["chart_index"], _int, f"the chart index of {where}"),
@@ -705,7 +695,7 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
             by_id[parent_id].children.append(node)
         by_id[nid] = node
         nodes.append(node)
-    tree.nodes, tree._by_id = nodes, by_id
+    tree.nodes = nodes
     return tree
 
 
@@ -731,14 +721,9 @@ class _PhaseState:
     stretch_step: int = 0
 
 
-def _new_exceptional(ledger: ExceptionalLedger, chart_var: int, nvars: int, trunc: int):
-    return ledger.with_entry(
-        LedgerEntry(ledger.next_id(), Jet.variable(chart_var, nvars, trunc), ORIGIN_NEW)
-    )
-
-
-def _transform_ledger(ledger: ExceptionalLedger, chart: ChartMap):
-    """Strict transforms through one chart; departed entries are dropped."""
+def _transform_ledger(ledger: ExceptionalLedger, chart: ChartMap, trunc: int):
+    """Strict transforms through one chart, with departed entries dropped,
+    then the chart's new exceptional {y_i = 0} at truncation ``trunc``."""
     entries = []
     for e in ledger:
         pulled = chart.pullback(e.jet)
@@ -750,7 +735,18 @@ def _transform_ledger(ledger: ExceptionalLedger, chart: ChartMap):
         if core.constant_term != 0:
             continue
         entries.append(LedgerEntry(e.eid, core, ORIGIN_STRICT))
+    y = Jet.variable(chart.exceptional_index, chart.nvars, trunc)
+    entries.append(LedgerEntry(ledger.next_id(), y, ORIGIN_NEW))
     return ExceptionalLedger(entries, ledger.watermark)
+
+
+def _chart_model(model: LocalModel, chart: ChartMap, divide: int, prepared: bool):
+    """The model at the origin of one chart: the pullback of g with ``divide``
+    powers of the exceptional coordinate taken out, and the ledger through it."""
+    g = chart.pullback(model.g)
+    for _ in range(divide):
+        g = g.divide_by_coordinate(chart.exceptional_index)
+    return _model(g, _transform_ledger(model.ledger, chart, g.trunc), prepared)
 
 
 def _pair_at(model: LocalModel, phase: _PhaseState | None):
@@ -997,10 +993,7 @@ def _lift_transform(sd: Node, umodel: LocalModel):
     mu = order_along_center(work.g, center)
     if mu.is_finite and mu.value != 0:
         raise AlgorithmError("a lifted center met the hypersurface equimultiply")
-    g2 = chart.pullback(work.g)
-    ledger2 = _transform_ledger(work.ledger, chart)
-    ledger2 = _new_exceptional(ledger2, chart.exceptional_index, work.nvars, g2.trunc)
-    return _model(g2, ledger2, prepared=True), lifted_prep
+    return _chart_model(work, chart, 0, prepared=True), lifted_prep
 
 
 def _lift_walk(sub_nodes, umodel, prep, phase, ctx, depth, assumptions):
@@ -1076,8 +1069,7 @@ def _finish_phase_no_data(model, prep, phase, ctx, depth, assumptions):
     needs_contact = (phase.front_entry is None and phase.d >= 2) or bool(tangent)
     if phase.front_entry is not None and not tangent:
         # the endgame front must itself be absorbed to break the crossing
-        through = [e for e in model.ledger.through_origin()]
-        rep = normal_crossings_check([e.jet for e in through])
+        rep = normal_crossings_check([e.jet for e in model.ledger.through_origin()])
         needs_contact = not rep.ok
     if phase.front_entry is None and phase.d == 1 and not tangent:
         rep = normal_crossings_check(
@@ -1089,13 +1081,8 @@ def _finish_phase_no_data(model, prep, phase, ctx, depth, assumptions):
         return _attach_prep(model, prep, phase, children, assumptions)
     center = Center((n - 1,), n)
     chart = ChartMap(center, n - 1)
-    g = chart.pullback(model.g)
     divide = phase.d if phase.front_entry is None else 0
-    for _ in range(divide):
-        g = g.divide_by_coordinate(n - 1)
-    ledger2 = _transform_ledger(model.ledger, chart)
-    ledger2 = _new_exceptional(ledger2, n - 1, n, g.trunc)
-    child_model = _model(g, ledger2)
+    child_model = _chart_model(model, chart, divide, prepared=False)
     _check_path_budget(ctx, depth + 1)
     node = Node(
         KIND_BLOWUP,
@@ -1156,16 +1143,12 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
     n = model.nvars
     m = n - 1
     chart = ChartMap(center, i)
-    g2 = chart.pullback(model.g)
     if phase.front_entry is None:
         mu = order_along_center(model.g, center)
         if not mu.is_finite or mu.value != phase.d:
             raise AlgorithmError("the chosen center is not equimultiple for the hypersurface")
-        for _ in range(phase.d):
-            g2 = g2.divide_by_coordinate(i)
-    ledger2 = _transform_ledger(model.ledger, chart)
-    ledger2 = _new_exceptional(ledger2, i, n, g2.trunc)
-    child = _model(g2, ledger2, prepared=True)
+    divide = phase.d if phase.front_entry is None else 0
+    child = _chart_model(model, chart, divide, prepared=True)
     predicted = None
     if i != m:
         positions = [j for j in center.indices if j != m]
@@ -1293,12 +1276,9 @@ def _absorb_in_drafts(children, ctx: _Ctx):
         work = model if prep.is_trivial else _apply_prep_model(model, prep)
         center = Center((n - 1,), n)
         chart = ChartMap(center, n - 1)
-        g2 = chart.pullback(work.g).divide_by_coordinate(n - 1)
-        if g2.constant_term == 0:
+        child_model = _chart_model(work, chart, 1, prepared=False)
+        if child_model.g.constant_term == 0:
             raise AlgorithmError("absorbing the strict transform failed")
-        ledger2 = _transform_ledger(work.ledger, chart)
-        ledger2 = _new_exceptional(ledger2, n - 1, n, g2.trunc)
-        child_model = _model(g2, ledger2)
         blow = Node(
             KIND_BLOWUP,
             prep=None if prep.is_trivial else prep,
@@ -1338,41 +1318,38 @@ def _root_nodes(g: Jet, ctx: _Ctx):
     return roots
 
 
+def _drive(mode: str, g: Jet, input_jets, config: RunConfig | None, var_names):
+    """Run ``mode`` on the germ g; the tree records ``input_jets``."""
+    config = config or RunConfig()
+    names = tuple(var_names) if var_names else tuple(default_names(g.nvars))
+    roots = _root_nodes(g, _Ctx(config=config, mode=mode))
+    return ResolutionTree(mode, config, input_jets, names, roots)
+
+
 def resolve_hypersurface(g: Jet, config: RunConfig | None = None, var_names=None) -> ResolutionTree:
     """Resolve the hypersurface germ g = 0: at every leaf origin the final
     strict transform has order at most one and crosses the accumulated
     exceptionals (and the Jacobian divisor) normally."""
-    config = config or RunConfig()
-    ctx = _Ctx(config=config, mode=RESOLVE)
-    names = tuple(var_names) if var_names else tuple(default_names(g.nvars))
-    return ResolutionTree(RESOLVE, config, [g], names, _root_nodes(g, ctx))
+    return _drive(RESOLVE, g, [g], config, var_names)
 
 
 def monomialize_principal(g: Jet, config: RunConfig | None = None, var_names=None) -> ResolutionTree:
     """Resolve and then absorb the smooth strict transform: the full pullback
     of g is a monomial times a unit in every leaf chart."""
-    config = config or RunConfig()
-    ctx = _Ctx(config=config, mode=MONOMIALIZE)
-    names = tuple(var_names) if var_names else tuple(default_names(g.nvars))
-    return ResolutionTree(MONOMIALIZE, config, [g], names, _root_nodes(g, ctx))
+    return _drive(MONOMIALIZE, g, [g], config, var_names)
 
 
 def rectilinearize(gs, config: RunConfig | None = None, var_names=None) -> ResolutionTree:
     """Monomialize the product of the inputs; each input then pulls back to a
     monomial times a unit in every leaf chart, so its zero set becomes a union
     of coordinate hyperplanes there."""
-    config = config or RunConfig()
     gs = list(gs)
     if not gs:
         raise ValueError("rectilinearize needs at least one input")
     prod_jet = gs[0]
     for g in gs[1:]:
         prod_jet = prod_jet * g
-    ctx = _Ctx(config=config, mode=RECTILINEARIZE)
-    names = tuple(var_names) if var_names else tuple(default_names(prod_jet.nvars))
-    return ResolutionTree(
-        RECTILINEARIZE, config, [prod_jet] + gs, names, _root_nodes(prod_jet, ctx)
-    )
+    return _drive(RECTILINEARIZE, prod_jet, [prod_jet] + gs, config, var_names)
 
 
 # -- independent verification --------------------------------------------------------
@@ -1435,12 +1412,14 @@ def _node_step_map(node: Node, n: int, trunc: int) -> PolyMap | None:
 
 def _structure_problems(tree: ResolutionTree) -> list:
     """Charts missing from the tree: the children of a node that carry one
-    center must be exactly one chart per center index, every node that is not
-    a leaf needs children, and the tree needs a leaf."""
+    center must be exactly one chart per center index, a node has children
+    exactly when it is not a leaf, and the tree needs a leaf."""
     out = []
     for node in tree.nodes:
         if node.kind != KIND_LEAF and not node.children:
             out.append(f"node {node.nid} is not a leaf and has no children")
+        if node.kind == KIND_LEAF and node.children:
+            out.append(f"node {node.nid} is a leaf and has children")
         charts = {}
         for child in node.children:
             if child.center is not None:
@@ -1466,33 +1445,19 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
     The stored leaf snapshots must match the recomputation exactly, and the
     tree must hold every chart of each blow-up it records.
     """
-    from .series import mat_det
-
     g_input = tree.input_jets[0]
-    factors = list(tree.input_jets[1:])
     n = g_input.nvars
-    audits = []
-    for leaf in tree.leaves():
-        path = tree.path_to(leaf.nid)
-        reasons = []
-        strict = g_input
-        ledger = ExceptionalLedger()
-        composed = PolyMap.identity(n, g_input.trunc)
-        peeled = []  # (path index, chart_index, codim, divided power)
-        dets = Fraction(1)
-        for idx, node in enumerate(path):
-            step = _node_step_map(node, n, composed.trunc)
-            if node.kind == KIND_COVERING:
-                base = node.base_point or tuple([Fraction(0)] * n)
-                strict = strict.recenter(base)
-                composed = compose_maps(composed, step)
-                continue
-            if node.kind == KIND_LEAF:
-                continue
-            if node.prep is not None and not node.prep.is_trivial:
-                prep = node.prep
+
+    def replay(state, node):
+        strict, ledger, composed, dets, steps = state
+        step, peel = _node_step_map(node, n, composed.trunc), None
+        if node.kind == KIND_COVERING:
+            strict = strict.recenter(node.base_point or tuple([Fraction(0)] * n))
+        elif node.kind != KIND_LEAF:
+            prep = node.prep
+            if prep is not None and not prep.is_trivial:
                 strict = _apply_prep(strict, prep)
-                ledger = ledger.map_jets(lambda jet, p=prep: _apply_prep(jet, p))
+                ledger = ledger.map_jets(lambda jet: _apply_prep(jet, prep))
                 if prep.matrix is not None:
                     dets *= mat_det(prep.matrix)
             if node.center is not None:
@@ -1502,149 +1467,167 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
                     power, strict = 0, pulled
                 else:
                     power, strict = pulled.factor_coordinate_power(chart.exceptional_index)
-                ledger = _transform_ledger(ledger, chart)
-                ledger = _new_exceptional(ledger, chart.exceptional_index, n, strict.trunc)
-                peeled.append((idx, node.chart_index, len(chart.center.indices), power))
-            if step is not None:
-                composed = compose_maps(composed, step)
-        # coordinate pullback of each blow-up's exceptional variable to the leaf
-        suffix_after = [None] * len(path)
-        tail = PolyMap.identity(n, composed.trunc)
-        for idx in range(len(path) - 1, -1, -1):
-            suffix_after[idx] = tail
-            sm = _node_step_map(path[idx], n, tail.trunc)
-            if sm is not None and path[idx].kind != KIND_COVERING:
-                tail = compose_maps(sm, tail)
-        # stored-vs-recomputed comparison
-        stored = leaf.leaf or {}
-        matches = True
-        st = stored.get("strict_transform")
-        if st is not None:
-            t = min(st.trunc, strict.trunc)
-            if st.with_truncation(t) != strict.with_truncation(t):
-                matches = False
-                reasons.append("stored strict transform differs from the replay")
-        stored_ledger = stored.get("ledger")
-        if stored_ledger is not None:
-            if len(stored_ledger) != len(ledger):
-                matches = False
-                reasons.append("stored ledger size differs from the replay")
-            else:
-                for a, b in zip(stored_ledger, ledger):
-                    t = min(a.jet.trunc, b.jet.trunc)
-                    if a.eid != b.eid or a.jet.with_truncation(t) != b.jet.with_truncation(t):
-                        matches = False
-                        reasons.append(f"ledger entry {a.eid} differs from the replay")
-                        break
-        # leaf conditions (mode dependent: resolution wants a smooth strict
-        # transform, monomialization wants the whole pullback monomial)
-        monomial_mode = tree.mode in (MONOMIALIZE, RECTILINEARIZE)
-        strict_order = strict.order().value
-        if monomial_mode:
-            order_ok = True
-        else:
-            order_ok = strict.is_zero() or strict_order <= 1
-            if not order_ok:
-                reasons.append(f"strict transform has order {strict_order}")
-        grads_ok = True
-        if not monomial_mode and strict_order == 1 and all(
-            x == 0 for x in strict.gradient_at_zero()
-        ):
-            grads_ok = False
-            reasons.append("strict transform of order one has zero gradient")
-        through = [e.jet for e in ledger.through_origin()]
-        if not monomial_mode and not strict.is_zero() and strict_order == 1:
-            rep = normal_crossings_check(through, extra=strict)
-        else:
-            rep = normal_crossings_check(through)
-        crossings_ok = rep.ok
-        if not rep.ok:
-            reasons.append(f"normal crossings failed: {rep.reason}")
-        # total transform: must equal the strict transform times the peeled
-        # exceptional powers, and be monomial times unit in monomial modes
-        total = substitute(g_input, composed)
-        rhs = strict
-        for idx, chart_i, codim, power in peeled:
-            if power == 0:
-                continue
-            pv = suffix_after[idx].components[chart_i]
-            t = min(rhs.trunc, pv.trunc)
-            rhs = rhs.with_truncation(t) * (pv.with_truncation(t) ** power)
-        t = min(total.trunc, rhs.trunc)
-        total_ok = total.with_truncation(t) == rhs.with_truncation(t)
-        if not total_ok:
-            reasons.append("total transform does not match strict times exceptionals")
-        if monomial_mode and not total.is_zero():
-            if total.monomial_unit_decompose() is None:
-                total_ok = False
-                reasons.append("total transform is not monomial times unit")
-        # Jacobian determinant: chain-rule factorization over the charts
-        det_jet = composed.jacobian_det()
-        rhs = Jet.constant(dets, n, det_jet.trunc)
-        for idx, chart_i, codim, _ in peeled:
-            if codim <= 1:
-                continue
-            pv = suffix_after[idx].components[chart_i]
-            t = min(rhs.trunc, pv.trunc)
-            rhs = rhs.with_truncation(t) * (pv.with_truncation(t) ** (codim - 1))
-        t = min(det_jet.trunc, rhs.trunc)
-        jac_ok = det_jet.with_truncation(t) == rhs.with_truncation(t)
-        if not jac_ok:
-            reasons.append("Jacobian determinant does not match its chart factorization")
-        else:
-            for idx, chart_i, codim, _ in peeled:
-                if codim <= 1:
-                    continue
-                core = suffix_after[idx].components[chart_i]
-                for i in range(n):
-                    _, core = core.factor_coordinate_power(i)
-                if core.is_unit():
-                    continue
-                cores = []
-                for e in ledger.through_origin():
-                    ec = e.jet
-                    for i in range(n):
-                        _, ec = ec.factor_coordinate_power(i)
-                    cores.append(ec)
-                tt = min([core.trunc] + [c.trunc for c in cores]) if cores else core.trunc
-                if not any(core.with_truncation(tt) == c.with_truncation(tt) for c in cores):
-                    jac_ok = False
-                    reasons.append("an exceptional factor of the Jacobian is not in the ledger")
-                    break
-        # per-factor checks for rectilinearization
-        factors_ok = True
-        if tree.mode == RECTILINEARIZE:
-            for k, f in enumerate(factors):
-                pf = substitute(f, composed)
-                if pf.is_zero() or pf.monomial_unit_decompose() is None:
-                    factors_ok = False
-                    reasons.append(f"input factor {k} is not monomial times unit")
-        passed = (
-            order_ok
-            and grads_ok
-            and crossings_ok
-            and total_ok
-            and jac_ok
-            and factors_ok
-            and matches
-        )
-        audits.append(
-            LeafAudit(
-                leaf_id=leaf.nid,
-                passed=passed,
-                strict_order=strict_order,
-                crossings_ok=crossings_ok,
-                total_monomial=total_ok,
-                jacobian_ok=jac_ok,
-                factors_ok=factors_ok,
-                matches_stored=matches,
-                reasons=tuple(reasons),
-            )
-        )
+                ledger = _transform_ledger(ledger, chart, strict.trunc)
+                peel = (node.chart_index, chart.center.codim, power)
+        if step is not None:
+            composed = compose_maps(composed, step)
+        # a base point moves no exceptional variable: the suffix maps skip it
+        steps += ((None if node.kind == KIND_COVERING else step, peel),)
+        return strict, ledger, composed, dets, steps
+
+    start = (g_input, ExceptionalLedger(), PolyMap.identity(n, g_input.trunc), Fraction(1), ())
+    audits = {
+        node.nid: _audit_leaf(tree, node, *state)
+        for node, state in _walk(tree, replay, start)
+        if node.kind == KIND_LEAF
+    }
     structure = _structure_problems(tree)
+    leaves = tuple(audits[leaf.nid] for leaf in tree.leaves())
     return VerifyReport(
-        all_passed=not structure and all(a.passed for a in audits),
-        leaves=tuple(audits),
+        all_passed=not structure and all(a.passed for a in leaves),
+        leaves=leaves,
         assumptions=tuple(tree.assumptions),
         structure=tuple(structure),
+    )
+
+
+def _audit_leaf(tree, leaf, strict, ledger, composed, dets, steps) -> LeafAudit:
+    """Check one leaf against its replayed root path.
+
+    ``steps`` holds, for each node of the path, its step map (None for
+    covering pieces and leaves) and, for a blow-up, the chart index, the
+    codimension of the center and the power divided out of the strict
+    transform."""
+    g_input = tree.input_jets[0]
+    n = g_input.nvars
+    reasons = []
+    # each blow-up's exceptional variable, pulled back to the leaf
+    exceptionals = []
+    tail = PolyMap.identity(n, composed.trunc)
+    for step, peel in reversed(steps):
+        if peel is not None:
+            chart_i, codim, power = peel
+            exceptionals.append((tail.components[chart_i], codim, power))
+        if step is not None:
+            tail = compose_maps(step, tail)
+    # stored-vs-recomputed comparison
+    stored = leaf.leaf or {}
+    matches = True
+    st = stored.get("strict_transform")
+    if st is not None:
+        t = min(st.trunc, strict.trunc)
+        if st.with_truncation(t) != strict.with_truncation(t):
+            matches = False
+            reasons.append("stored strict transform differs from the replay")
+    stored_ledger = stored.get("ledger")
+    if stored_ledger is not None:
+        if len(stored_ledger) != len(ledger):
+            matches = False
+            reasons.append("stored ledger size differs from the replay")
+        else:
+            for a, b in zip(stored_ledger, ledger):
+                t = min(a.jet.trunc, b.jet.trunc)
+                if a.eid != b.eid or a.jet.with_truncation(t) != b.jet.with_truncation(t):
+                    matches = False
+                    reasons.append(f"ledger entry {a.eid} differs from the replay")
+                    break
+    # leaf conditions (mode dependent: resolution wants a smooth strict
+    # transform, monomialization wants the whole pullback monomial)
+    monomial_mode = tree.mode in (MONOMIALIZE, RECTILINEARIZE)
+    strict_order = strict.order().value
+    if monomial_mode:
+        order_ok = True
+    else:
+        order_ok = strict.is_zero() or strict_order <= 1
+        if not order_ok:
+            reasons.append(f"strict transform has order {strict_order}")
+    grads_ok = True
+    if not monomial_mode and strict_order == 1 and all(
+        x == 0 for x in strict.gradient_at_zero()
+    ):
+        grads_ok = False
+        reasons.append("strict transform of order one has zero gradient")
+    through = [e.jet for e in ledger.through_origin()]
+    if not monomial_mode and not strict.is_zero() and strict_order == 1:
+        rep = normal_crossings_check(through, extra=strict)
+    else:
+        rep = normal_crossings_check(through)
+    crossings_ok = rep.ok
+    if not rep.ok:
+        reasons.append(f"normal crossings failed: {rep.reason}")
+    # total transform: must equal the strict transform times the peeled
+    # exceptional powers, and be monomial times unit in monomial modes
+    total = substitute(g_input, composed)
+    rhs = strict
+    for pv, codim, power in exceptionals:
+        if power == 0:
+            continue
+        t = min(rhs.trunc, pv.trunc)
+        rhs = rhs.with_truncation(t) * (pv.with_truncation(t) ** power)
+    t = min(total.trunc, rhs.trunc)
+    total_ok = total.with_truncation(t) == rhs.with_truncation(t)
+    if not total_ok:
+        reasons.append("total transform does not match strict times exceptionals")
+    if monomial_mode and not total.is_zero():
+        if total.monomial_unit_decompose() is None:
+            total_ok = False
+            reasons.append("total transform is not monomial times unit")
+    # Jacobian determinant: chain-rule factorization over the charts
+    det_jet = composed.jacobian_det()
+    rhs = Jet.constant(dets, n, det_jet.trunc)
+    for pv, codim, _ in exceptionals:
+        if codim <= 1:
+            continue
+        t = min(rhs.trunc, pv.trunc)
+        rhs = rhs.with_truncation(t) * (pv.with_truncation(t) ** (codim - 1))
+    t = min(det_jet.trunc, rhs.trunc)
+    jac_ok = det_jet.with_truncation(t) == rhs.with_truncation(t)
+    if not jac_ok:
+        reasons.append("Jacobian determinant does not match its chart factorization")
+    else:
+        for core, codim, _ in exceptionals:
+            if codim <= 1:
+                continue
+            for i in range(n):
+                _, core = core.factor_coordinate_power(i)
+            if core.is_unit():
+                continue
+            cores = []
+            for e in ledger.through_origin():
+                ec = e.jet
+                for i in range(n):
+                    _, ec = ec.factor_coordinate_power(i)
+                cores.append(ec)
+            tt = min([core.trunc] + [c.trunc for c in cores]) if cores else core.trunc
+            if not any(core.with_truncation(tt) == c.with_truncation(tt) for c in cores):
+                jac_ok = False
+                reasons.append("an exceptional factor of the Jacobian is not in the ledger")
+                break
+    # per-factor checks for rectilinearization
+    factors_ok = True
+    if tree.mode == RECTILINEARIZE:
+        for k, f in enumerate(tree.input_jets[1:]):
+            pf = substitute(f, composed)
+            if pf.is_zero() or pf.monomial_unit_decompose() is None:
+                factors_ok = False
+                reasons.append(f"input factor {k} is not monomial times unit")
+    passed = (
+        order_ok
+        and grads_ok
+        and crossings_ok
+        and total_ok
+        and jac_ok
+        and factors_ok
+        and matches
+    )
+    return LeafAudit(
+        leaf_id=leaf.nid,
+        passed=passed,
+        strict_order=strict_order,
+        crossings_ok=crossings_ok,
+        total_monomial=total_ok,
+        jacobian_ok=jac_ok,
+        factors_ok=factors_ok,
+        matches_stored=matches,
+        reasons=tuple(reasons),
     )

@@ -48,10 +48,6 @@ class TruncationError(RuntimeError):
     """Not enough certified degrees remain to perform the operation."""
 
 
-def total_degree(alpha: Multiindex) -> int:
-    return sum(alpha)
-
-
 def grlex_key(alpha: Multiindex):
     """Sort key: graded order with lexicographic tie break."""
     return (sum(alpha), alpha)
@@ -522,10 +518,6 @@ def mat_inv(rows):
     return [row[n:] for row in aug]
 
 
-def mat_mul_vec(rows, vec):
-    return [sum((_frac(a) * _frac(v) for a, v in zip(row, vec)), Fraction(0)) for row in rows]
-
-
 # -- maps --------------------------------------------------------------------
 
 
@@ -687,19 +679,7 @@ def linear_change(f: Jet, rows) -> Jet:
     if mat_det(rows) == 0:
         raise PivotError("linear change requires an invertible matrix")
     # new variable k contributes column k: x_old_j = sum_k A[j][k] x_new_k
-    forms = []
-    for j in range(n):
-        forms.append(
-            Jet(
-                n,
-                f.trunc,
-                {
-                    tuple(1 if i == k else 0 for i in range(n)): _frac(rows[j][k])
-                    for k in range(n)
-                },
-            )
-        )
-    return substitute(f, forms, base=[0] * n)
+    return substitute(f, PolyMap.from_matrix(rows, f.trunc), base=[0] * n)
 
 
 def implicit_solve(z: Jet, i: int) -> Jet:

@@ -309,6 +309,34 @@ class TestMalformedTree:
         assert code == 4
         assert "input jet 0" in text
 
+    def test_unknown_mode(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["mode"] = "bogus"
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "unknown mode 'bogus'" in text
+
+    def test_base_point_of_the_wrong_length(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["nodes"][0]["base_point"] = ["1"]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "the base point of node 0 has 1 coordinates, not 2" in text
+
+    def test_input_jet_in_another_frame(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        jet = data["input"][0]
+        jet["nvars"] = 3
+        for term in jet["terms"]:
+            term[0].append(0)
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "the base point of node 0 has 2 coordinates, not 3" in text
+        data["input"].append(_cusp_tree(tmp_path)["input"][0])
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert "input jet 1 has 2 variables, not 3" in text
+
 
 class TestIncompleteTree:
     """Trees the reader accepts but whose charts do not cover the blow-ups."""
@@ -336,3 +364,53 @@ class TestIncompleteTree:
         code, text = _verify_data(tmp_path, data)
         assert code == 2
         assert "node 9 is not a leaf and has no children" in text
+
+    def test_leaf_with_children(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        leaf = data["nodes"][4]
+        assert leaf["kind"] == "Leaf"
+        # a copy of the leaf below it replays to the same, passing, state
+        data["nodes"].append(dict(leaf, id=11, parent=4))
+        code, text = _verify_data(tmp_path, data)
+        assert code == 2
+        assert "node 4 is a leaf and has children" in text
+
+
+class TestReplayWalk:
+    """The verifier replays each root path once, depth first, without recursion."""
+
+    def test_deep_chain_of_coordinate_changes(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        root, rest = data["nodes"][0], data["nodes"][1:]
+        chain = []
+        parent = root["id"]
+        for nid in range(100, 1700):
+            chain.append(
+                dict(rest[0], id=nid, parent=parent, prep=None, center_indices=None,
+                     chart_index=None, identity=True, budget=None, assumptions=[])
+            )
+            parent = nid
+        for nd in rest:
+            if nd["parent"] == root["id"]:
+                nd["parent"] = parent
+        data["nodes"] = [root] + chain + rest
+        code, text = _verify_data(tmp_path, data)
+        assert code == 0
+        assert "verified: True" in text
+
+    def test_parents_first_but_not_depth_first(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        _, expected = _verify_data(tmp_path, data)
+        # breadth first: parents still precede their children
+        order = [nd for nd in data["nodes"] if nd["parent"] is None]
+        for nd in order:
+            order.extend(ch for ch in data["nodes"] if ch["parent"] == nd["id"])
+        data["nodes"] = order
+        leaf_ids = [nd["id"] for nd in order if nd["kind"] == "Leaf"]
+        assert leaf_ids == [10, 8, 4, 6]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 0
+        assert sorted(text.splitlines()) == sorted(expected.splitlines())
+        # leaves are reported in file order
+        reported = [line.split(":")[0] for line in text.splitlines() if line.startswith("leaf ")]
+        assert reported == [f"leaf {nid}" for nid in leaf_ids]

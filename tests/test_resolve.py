@@ -232,9 +232,10 @@ class TestResolveRuns:
     def test_invariant_pair_monotone(self):
         for g in [CUSP, NODE, jet2({(0, 2): 1, (5, 0): -1})]:
             tree = resolve_hypersurface(g)
-            for leaf in tree.leaves():
-                ds = [n.pair[0] for n in tree.path_to(leaf.nid) if n.pair]
-                assert all(a >= b for a, b in zip(ds, ds[1:]))
+            by_id = {n.nid: n for n in tree.nodes}
+            for n in tree.nodes:
+                if n.parent_id is not None:
+                    assert by_id[n.parent_id].pair[0] >= n.pair[0]
 
     def test_base_points(self):
         cfg = RunConfig(base_points=((0, 0), (1, 1)))
