@@ -374,8 +374,11 @@ def inverse_majorant(n: int, r, a, b, m: GrowthSequence, depth: int) -> Jet:
         Phi(x) = sum_{|alpha| >= 2} n r a (m_1 b)^{|alpha|} x^alpha,
 
     by undetermined coefficients: the degree-k part of G depends only on
-    lower-degree parts since Phi has order two.  Every coefficient of G is
-    nonnegative; the degree-one coefficients are exactly r/m_1.
+    lower-degree parts since Phi has order two.  Round k (k = 2 .. depth)
+    substitutes G cut to truncation k into Phi cut to truncation k and adds
+    the degree-k part, so no round works beyond the degree it certifies and
+    no convergence test is needed.  Every coefficient of G is nonnegative;
+    the degree-one coefficients are exactly r/m_1.
     """
     r, a, b = Fraction(r), Fraction(a), Fraction(b)
     if r <= 0 or a <= 0 or b <= 0:
@@ -393,11 +396,9 @@ def inverse_majorant(n: int, r, a, b, m: GrowthSequence, depth: int) -> Jet:
             phi_coeffs[alpha] = n * r * a * (m1 * b) ** s
     phi = Jet(n, depth, phi_coeffs)
     G = linear
-    for _ in range(depth):
-        new = linear + substitute(phi, [G] * n)
-        if new == G:
-            break
-        G = new
+    for k in range(2, depth + 1):
+        step = substitute(phi.with_truncation(k), [G.with_truncation(k)] * n)
+        G = G + Jet(n, depth, {a: v for a, v in step.terms() if sum(a) == k})
     for alpha, coeff in G.terms():
         if coeff < 0:
             raise AssertionError(f"majorant coefficient at {alpha} is negative")

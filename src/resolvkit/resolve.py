@@ -1504,11 +1504,14 @@ def _audit_leaf(tree, leaf, strict, ledger, composed, dets, steps) -> LeafAudit:
     # each blow-up's exceptional variable, pulled back to the leaf
     exceptionals = []
     tail = PolyMap.identity(n, composed.trunc)
-    for step, peel in reversed(steps):
+    # the root-most blow-up reads the last tail: no step at or above it is needed
+    first = next((k for k, (_, peel) in enumerate(steps) if peel is not None), len(steps))
+    for k in range(len(steps) - 1, first - 1, -1):
+        step, peel = steps[k]
         if peel is not None:
             chart_i, codim, power = peel
             exceptionals.append((tail.components[chart_i], codim, power))
-        if step is not None:
+        if step is not None and k > first:
             tail = compose_maps(step, tail)
     # stored-vs-recomputed comparison
     stored = leaf.leaf or {}

@@ -17,13 +17,21 @@ in for outside data (parsed expressions, tree JSON, user code).  The private
 of this module use it, on dicts that are clean by construction: tuple keys of
 the right length with nonnegative entries of total degree at most ``trunc``,
 and nonzero ``Fraction`` values.
+
+The inner loops of ``Jet.__mul__`` and :func:`substitute` run on integers:
+each operand is put over the lcm of its denominators and its exponents are
+packed into one ``int`` (see :class:`_Frame`), so a term of a product costs
+one ``int`` multiply and one ``int`` add, with no gcd.  Each nonzero result
+coefficient becomes one reduced ``Fraction`` on the way out; every jet that
+leaves those loops holds ``Fraction`` values only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from operator import add, itemgetter
+from functools import lru_cache
+from math import comb, lcm, prod as _prod
+from operator import mul
 
 Multiindex = tuple[int, ...]
 
@@ -59,6 +67,81 @@ def _frac(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected a rational value, got {type(x).__name__}")
+
+
+def _check_frame(nvars: int, trunc: int):
+    if nvars < 0:
+        raise ShapeError("nvars must be nonnegative")
+    if trunc < 0:
+        raise ShapeError("truncation must be nonnegative")
+
+
+def _unit_vector(i: int, nvars: int) -> Multiindex:
+    return tuple(1 if j == i else 0 for j in range(nvars))
+
+
+class _Frame:
+    """Packing of the exponents of one frame (``nvars``, ``trunc``) into ints.
+
+    ``alpha`` packs to ``|alpha| * top + sum_i alpha_i * base**i`` with
+    ``base = trunc + 1`` and ``top = base**nvars``.  Within the truncation no
+    digit carries, so the key of a product term is the sum of its factors'
+    keys, and ``|alpha| + |beta| <= trunc`` exactly when the sum of their keys
+    is below ``limit = (trunc + 1) * top``.  Sorting keys sorts by degree.
+    """
+
+    __slots__ = ("nvars", "base", "top", "weights", "limit")
+
+    def __init__(self, nvars: int, trunc: int):
+        self.nvars = nvars
+        self.base = trunc + 1
+        self.top = self.base**nvars
+        self.weights = tuple(self.base**i + self.top for i in range(nvars))
+        self.limit = (trunc + 1) * self.top
+
+    def numerators(self, coeffs: dict) -> tuple[dict[int, int], int]:
+        """``coeffs`` over the lcm of its denominators: packed key -> integer
+        numerator, and that lcm."""
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        w = self.weights
+        return {
+            sum(map(mul, a, w)): c.numerator * (den // c.denominator)
+            for a, c in coeffs.items()
+        }, den
+
+    def fractions(self, nums: dict[int, int], den: int) -> dict[Multiindex, Fraction]:
+        """Back to exponent tuples and reduced Fractions, dropping zeros."""
+        base, top, n = self.base, self.top, self.nvars
+        out = {}
+        for key, v in nums.items():
+            if v:
+                key %= top
+                alpha = []
+                for _ in range(n):
+                    key, e = divmod(key, base)
+                    alpha.append(e)
+                out[tuple(alpha)] = Fraction(v, den)
+        return out
+
+
+_frame = lru_cache(maxsize=256)(_Frame)
+
+
+def _mul_numerators(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int]:
+    """Product of two packed numerator dicts, cut at the frame's truncation.
+
+    Terms that cancel stay in the result as zeros."""
+    bs = sorted(b.items())
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, va in a.items():
+        room = limit - ka
+        for kb, vb in bs:
+            if kb >= room:
+                break
+            key = ka + kb
+            out[key] = get(key, 0) + va * vb
+    return out
 
 
 class OrderResult:
@@ -109,10 +192,7 @@ class Jet:
     __slots__ = ("nvars", "trunc", "_c")
 
     def __init__(self, nvars: int, trunc: int, coeffs=None):
-        if nvars < 0:
-            raise ShapeError("nvars must be nonnegative")
-        if trunc < 0:
-            raise ShapeError("truncation must be nonnegative")
+        _check_frame(nvars, trunc)
         clean: dict[Multiindex, Fraction] = {}
         if coeffs:
             for alpha, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
@@ -156,14 +236,16 @@ class Jet:
 
     @classmethod
     def constant(cls, value, nvars: int, trunc: int) -> "Jet":
-        return cls(nvars, trunc, {(0,) * nvars: _frac(value)})
+        value = _frac(value)
+        _check_frame(nvars, trunc)
+        return cls._trusted(nvars, trunc, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def variable(cls, i: int, nvars: int, trunc: int) -> "Jet":
         if not 0 <= i < nvars:
             raise ShapeError(f"variable index {i} out of range for {nvars} variables")
-        alpha = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, trunc, {alpha: Fraction(1)})
+        _check_frame(nvars, trunc)
+        return cls._trusted(nvars, trunc, {_unit_vector(i, nvars): Fraction(1)} if trunc else {})
 
     @classmethod
     def monomial(cls, alpha, coeff, trunc: int) -> "Jet":
@@ -244,22 +326,11 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._check_shape(other)
-        T = self.trunc
-        # other's terms by degree, so each row stops at the first one too high
-        bs = sorted(((sum(b), b, cb) for b, cb in other._c.items()), key=itemgetter(0))
-        out: dict[Multiindex, Fraction] = {}
-        for a, ca in self._c.items():
-            room = T - sum(a)
-            for db, b, cb in bs:
-                if db > room:
-                    break
-                key = tuple(map(add, a, b))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return Jet._trusted(self.nvars, T, out)
+        frame = _frame(self.nvars, self.trunc)
+        a, da = frame.numerators(self._c)
+        b, db = frame.numerators(other._c)
+        out = _mul_numerators(a, b, frame.limit)
+        return Jet._trusted(self.nvars, self.trunc, frame.fractions(out, da * db))
 
     def __pow__(self, e: int) -> "Jet":
         if not isinstance(e, int) or e < 0:
@@ -337,8 +408,7 @@ class Jet:
     def gradient_at_zero(self) -> tuple[Fraction, ...]:
         grad = []
         for i in range(self.nvars):
-            alpha = tuple(1 if j == i else 0 for j in range(self.nvars))
-            grad.append(self._c.get(alpha, Fraction(0)))
+            grad.append(self._c.get(_unit_vector(i, self.nvars), Fraction(0)))
         return tuple(grad)
 
     # -- division and factorization ----------------------------------------
@@ -545,19 +615,16 @@ class PolyMap:
 
     @classmethod
     def from_matrix(cls, rows, trunc: int) -> "PolyMap":
+        """The linear map whose component i is sum_k rows[i][k] x_k."""
         n = len(rows)
         comps = []
         for row in rows:
-            comps.append(
-                Jet(
-                    n,
-                    trunc,
-                    {
-                        tuple(1 if j == k else 0 for j in range(n)): _frac(a)
-                        for k, a in enumerate(row)
-                    },
-                )
-            )
+            row = [_frac(a) for a in row]
+            _check_frame(n, trunc)
+            if len(row) != n:
+                raise ShapeError("from_matrix needs a square matrix")
+            coeffs = {_unit_vector(k, n): a for k, a in enumerate(row) if a} if trunc else {}
+            comps.append(Jet._trusted(n, trunc, coeffs))
         return cls(comps)
 
     @property
@@ -644,26 +711,35 @@ def substitute(f: Jet, g, base=None) -> Jet:
     if any(b != 0 for b in base):
         f = f.recenter(base)
     f = f.with_truncation(T)
-    shifted = [c - Jet.constant(b, n, T) if b else c for c, b in zip(comps, base)]
-    # powers[i][k] = shifted_i ** k for k >= 1, built on demand
-    powers: list[list[Jet | None]] = [[None, h] for h in shifted]
-    zero = (0,) * n
-    out: dict[Multiindex, Fraction] = {}
-    for alpha, c in f._c.items():
+    frame = _frame(n, T)
+    limit = frame.limit
+    # packed numerators of the shifted components over their denominators;
+    # the term c x^alpha then has denominator c.den * prod_i dens_i^alpha_i
+    shifted = [
+        frame.numerators((c - Jet.constant(b, n, T) if b else c)._c)
+        for c, b in zip(comps, base)
+    ]
+    dens = [d for _, d in shifted]
+    terms = [
+        (alpha, c, c.denominator * _prod(map(pow, dens, alpha))) for alpha, c in f._c.items()
+    ]
+    den = lcm(*[d for _, _, d in terms])
+    # powers[i][k] = numerators of shifted_i ** k for k >= 1, built on demand
+    powers = [[None, h] for h, _ in shifted]
+    out: dict[int, int] = {}
+    get = out.get
+    for alpha, c, d in terms:
         prod = None
         for i, e in enumerate(alpha):
             if e:
                 pw = powers[i]
                 while len(pw) <= e:
-                    pw.append(pw[-1] * pw[1])
-                prod = pw[e] if prod is None else prod * pw[e]
-        for key, v in prod._c.items() if prod is not None else [(zero, 1)]:
-            s = out.get(key, 0) + c * v
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return Jet._trusted(n, T, out)
+                    pw.append(_mul_numerators(pw[-1], pw[1], limit))
+                prod = pw[e] if prod is None else _mul_numerators(prod, pw[e], limit)
+        scale = c.numerator * (den // d)
+        for key, v in prod.items() if prod is not None else [(0, 1)]:
+            out[key] = get(key, 0) + scale * v
+    return Jet._trusted(n, T, frame.fractions(out, den))
 
 
 def compose_maps(outer: PolyMap, inner: PolyMap) -> PolyMap:
@@ -688,42 +764,41 @@ def implicit_solve(z: Jet, i: int) -> Jet:
     Requires z(0) = 0 and a nonzero pivot dz/dx_i(0).  Returns the jet of the
     solution in the remaining variables (original order, x_i removed), at the
     truncation of ``z``; z(x, phi(x)) vanishes to that degree.
+
+    Round k (k = 1 .. T) substitutes the solution found so far, of degree
+    below k, into ``z`` at truncation k and cancels the degree-k defect, which
+    is all that round can certify; no round works beyond truncation k, and no
+    convergence test is needed.
     """
     if not 0 <= i < z.nvars:
         raise ShapeError(f"variable index {i} out of range")
     if z.constant_term != 0:
         raise PivotError("implicit solve requires z(0) = 0")
-    pivot_alpha = tuple(1 if j == i else 0 for j in range(z.nvars))
-    c = z.coeff(pivot_alpha)
+    c = z.coeff(_unit_vector(i, z.nvars))
     if c == 0:
         raise PivotError("implicit solve requires a nonzero pivot dz/dx_i(0)")
     n, T = z.nvars, z.trunc
     m = n - 1
-    phi = Jet.zero(m, T)
+    phi: dict[Multiindex, Fraction] = {}
     for k in range(1, T + 1):
-        # plug the current approximation in and cancel the degree-k defect
-        comps = []
-        pos = 0
-        for j in range(n):
-            if j == i:
-                comps.append(phi)
-            else:
-                comps.append(Jet.variable(pos, m, T))
-                pos += 1
-        r = substitute(z, comps, base=[0] * n)
-        defect = {a: v for a, v in r.terms() if sum(a) == k}
-        if not defect:
-            continue
-        phi = phi + Jet(m, T, {a: -v / c for a, v in defect.items()})
-    return phi
+        comps = [Jet.variable(j, m, k) for j in range(m)]
+        comps.insert(i, Jet._trusted(m, k, dict(phi)))
+        r = substitute(z.with_truncation(k), comps, base=[0] * n)
+        for a, v in r._c.items():
+            if sum(a) == k:
+                phi[a] = -v / c
+    return Jet._trusted(m, T, phi)
 
 
 def invert_map(g: PolyMap) -> PolyMap:
     """Compositional inverse of a map fixing 0 with invertible Jacobian.
 
-    Computed degree by degree: with g = A x + higher, iterate
-    h <- A^{-1} (y - (g - A x)(h)); after T rounds the inverse is exact to
-    the working truncation, and both g(h) and h(g) are the identity jet.
+    With g = A x + tail, the inverse h solves h = A^{-1} (y - tail(h)).  The
+    tail has order two, so the degree-k part of h depends only on its parts
+    of lower degree: round k (k = 2 .. T) composes the tail and h cut to
+    truncation k and keeps the degree-k part.  The inverse is unique, so the
+    T - 1 rounds give it exactly to the working truncation, with no
+    convergence test; both g(h) and h(g) are the identity jet.
     """
     n = len(g)
     if g.nvars != n:
@@ -737,20 +812,16 @@ def invert_map(g: PolyMap) -> PolyMap:
     Ainv = mat_inv(A)
     linear_part = PolyMap.from_matrix(A, T)
     tail = PolyMap([gc - lc for gc, lc in zip(g.components, linear_part.components)])
-    h = PolyMap.from_matrix(Ainv, T)
-    ident = PolyMap.identity(n, T)
-    for _ in range(T - 1):
-        corr = compose_maps(tail, h)
-        adjusted = [ic - cc for ic, cc in zip(ident.components, corr.components)]
-        new_comps = []
-        for row in Ainv:
-            acc = Jet.zero(n, T)
-            for a, comp in zip(row, adjusted):
-                if a != 0:
-                    acc = acc + comp.scale(a)
-            new_comps.append(acc)
-        new = PolyMap(new_comps)
-        if new == h:
-            break
-        h = new
-    return h
+    h = [dict(c._c) for c in PolyMap.from_matrix(Ainv, T).components]
+    for k in range(2, T + 1):
+        hk = PolyMap([Jet._trusted(n, k, dict(d)) for d in h])
+        corr = compose_maps(PolyMap([c.with_truncation(k) for c in tail.components]), hk)
+        tops = [[(a, v) for a, v in cc._c.items() if sum(a) == k] for cc in corr.components]
+        for row, d in zip(Ainv, h):
+            acc: dict[Multiindex, Fraction] = {}
+            for coef, top in zip(row, tops):
+                if coef:
+                    for a, v in top:
+                        acc[a] = acc.get(a, 0) - coef * v
+            d.update((a, v) for a, v in acc.items() if v)
+    return PolyMap([Jet._trusted(n, T, d) for d in h])

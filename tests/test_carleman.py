@@ -1,8 +1,10 @@
 """Growth-sequence structure tests, the key inequalities, and majorants."""
 
 from fractions import Fraction
+from itertools import product
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from resolvkit.carleman import (
@@ -22,7 +24,7 @@ from resolvkit.carleman import (
     quasianalytic_test,
     weighted_partitions,
 )
-from resolvkit.series import Jet, PolyMap, mat_det
+from resolvkit.series import Jet, PolyMap, mat_det, substitute
 
 
 FACTORIAL = GrowthSequence.gevrey(1)
@@ -210,7 +212,30 @@ class TestCompositionConstants:
                 assert coeff <= cc.C * cc.D**k
 
 
+POSITIVE = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), 1, Fraction(5, 2)])
+
+
 class TestInverseMajorant:
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 3), st.integers(0, 8), POSITIVE, POSITIVE, POSITIVE,
+        st.sampled_from(FAMILIES),
+    )
+    def test_fixed_point(self, n, depth, r, a, b, m):
+        """G = (r/m_1)(y_1 + ... + y_n) + Phi(G, ..., G) at the full depth."""
+        G = inverse_majorant(n, r, a, b, m, depth)
+        r, m1 = Fraction(r), m.term(1)
+        linear = Jet(n, depth, {
+            tuple(1 if j == i else 0 for j in range(n)): r / m1 for i in range(n)
+        })
+        phi = Jet(n, depth, {
+            alpha: n * r * a * (m1 * b) ** sum(alpha)
+            for alpha in product(range(depth + 1), repeat=n)
+            if 2 <= sum(alpha) <= depth
+        })
+        assert G.trunc == depth
+        assert G == linear + substitute(phi, [G] * n)
+
     def test_linear_coefficients(self):
         G = inverse_majorant(2, Fraction(3), 1, 1, FACTORIAL, 5)
         assert G.coeff((1, 0)) == 3  # r / m_1 with m_1 = 1

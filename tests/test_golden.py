@@ -1,15 +1,19 @@
-"""Byte identity of the tree JSON.
+"""Byte identity of the tree JSON and of the class-calculus solvers.
 
 Every speed-up of the kernel or the driver must leave ``to_json()`` byte for
-byte as it was.  These SHA-256 digests pin it for a few bundled inputs at the
-default truncation; a change that alters the JSON on purpose (a new format)
-updates them in the same change and says why.
+byte as it was.  These SHA-256 digests pin it for a few bundled inputs and
+one dense germ (whose drive runs ``implicit_solve`` on a dense jet), and pin
+the terms of ``invert_map`` and ``inverse_majorant`` on fixed inputs; a
+change that alters the JSON on purpose (a new format) updates them in the
+same change and says why.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
+from resolvkit.carleman import GrowthSequence, inverse_majorant
 from resolvkit.parse import parse_many
 from resolvkit.resolve import (
     RunConfig,
@@ -17,6 +21,7 @@ from resolvkit.resolve import (
     rectilinearize,
     resolve_hypersurface,
 )
+from resolvkit.series import Jet, PolyMap, invert_map
 
 RUNS = {
     "resolve": resolve_hypersurface,
@@ -26,31 +31,63 @@ RUNS = {
 
 GOLDEN = [
     pytest.param(
-        "resolve", ["y^2 - x^3"],
+        "resolve", ["y^2 - x^3"], 24,
         "f5bd8d93244a37dd11016b87384f48831494b7e7400f10363a30daf0add61413",
         id="resolve-cusp",
     ),
     pytest.param(
-        "resolve", ["z^2 - x^5 - y^5"],
+        "resolve", ["z^2 - x^5 - y^5"], 24,
         "793ebd9a151e2621ac214bb64bf16d2197d548826b7d15ad190396b370499aae",
         id="resolve-z2-x5-y5",
     ),
     pytest.param(
-        "monomialize", ["y^2 - x^3"],
+        "monomialize", ["y^2 - x^3"], 24,
         "e41c59095ca4e4ea0a3caf7f71d3771342d45b6191c6d69a54b69519fc9a45cb",
         id="monomialize-cusp",
     ),
     pytest.param(
-        "rectilinearize", ["x", "y", "x - y"],
+        "rectilinearize", ["x", "y", "x - y"], 24,
         "2002fd5ef8c2bbba6a6a97498f5fe67052a0eba8805d58a05bbd072a036cba30",
         id="rectilinearize-three-lines",
+    ),
+    pytest.param(
+        "resolve", ["(1 + 2*y - x^2)*(y^2-x^3)"], 26,
+        "0da8a2ca37703484b8b61acbdb3a4459a066fc80b655a48541447354d0347c85",
+        id="resolve-dense-cusp-T26",
     ),
 ]
 
 
-@pytest.mark.parametrize("mode, exprs, digest", GOLDEN)
-def test_tree_json_digest(mode, exprs, digest):
-    jets, names = parse_many(exprs, None, 24)
+@pytest.mark.parametrize("mode, exprs, trunc, digest", GOLDEN)
+def test_tree_json_digest(mode, exprs, trunc, digest):
+    jets, names = parse_many(exprs, None, trunc)
     arg = jets if mode == "rectilinearize" else jets[0]
-    tree = RUNS[mode](arg, RunConfig(truncation=24), names)
+    tree = RUNS[mode](arg, RunConfig(truncation=trunc), names)
     assert hashlib.sha256(tree.to_json().encode()).hexdigest() == digest
+
+
+def _terms_digest(jets):
+    text = repr([(j.nvars, j.trunc, j.terms()) for j in jets])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_invert_map_digest():
+    # a map of the plane with invertible linear part and mixed denominators
+    T = 11
+    g = PolyMap([
+        Jet(2, T, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (2, 0): 1,
+                   (1, 1): Fraction(-3, 4), (0, 3): Fraction(1, 2)}),
+        Jet(2, T, {(1, 0): Fraction(3, 2), (0, 1): 1, (0, 2): Fraction(2, 3),
+                   (2, 1): -1, (4, 0): Fraction(-3, 4)}),
+    ])
+    assert _terms_digest(invert_map(g).components) == (
+        "601db07449d20b03026575dce858c5df3b44ac5a8dcecd3a84d34906fb8e5d86"
+    )
+
+
+def test_inverse_majorant_digest():
+    G = inverse_majorant(2, Fraction(3, 2), Fraction(2, 3), Fraction(5, 4),
+                         GrowthSequence.gevrey(1), 8)
+    assert _terms_digest([G]) == (
+        "96e4d0a817a0e4d4527bc9138110c7afee49d887a5761b9ce842240297651f58"
+    )

@@ -3,7 +3,7 @@
 from fractions import Fraction
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from resolvkit.series import (
@@ -360,7 +360,11 @@ class TestMiscViews:
 # -- properties: operations keep the invariants of Jet(...) and the ring laws ---
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
-RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# mixed denominators, so that operands rarely share one
+RATIONALS = st.sampled_from(
+    [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(-5, 6), Fraction(7)]
+) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+NONZERO = RATIONALS.filter(bool)
 
 
 @st.composite
@@ -380,6 +384,30 @@ def jets(draw, shape, max_terms=6, constant=True):
 
 def jet_tuples(k, **kwargs):
     return shapes().flatmap(lambda s: st.tuples(*[jets(s, **kwargs)] * k))
+
+
+def naive_mul(a, b):
+    """Reference product: one Fraction multiply and add per pair of terms."""
+    out = {}
+    for ea, ca in a._c.items():
+        for eb, cb in b._c.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= a.trunc:
+                out[e] = out.get(e, Fraction(0)) + ca * cb
+    return Jet(a.nvars, a.trunc, out)
+
+
+def naive_substitute(f, comps):
+    """Reference composite: sum of c * prod g_i^alpha_i, products by naive_mul."""
+    n, T = comps[0].nvars, comps[0].trunc
+    total = Jet.zero(n, T)
+    for alpha, c in f._c.items():
+        term = Jet.constant(c, n, T)
+        for g, e in zip(comps, alpha):
+            for _ in range(e):
+                term = naive_mul(term, g)
+        total = total + term
+    return total
 
 
 def assert_clean(r):
@@ -431,6 +459,65 @@ class TestKernelProperties:
         assert substitute(f + g, m) == sf + sg
         shifted = [c + Jet.constant(data.draw(RATIONALS), n, T) for c in m]
         assert_clean(substitute(f, shifted))
+
+    @SETTINGS
+    @given(jet_tuples(2))
+    def test_mul_matches_naive_fractions(self, ab):
+        a, b = ab
+        assert_clean(a * b)
+        assert a * b == naive_mul(a, b)
+        # the cross terms a*b and b*a cancel: no zero may be stored
+        r = (a + b) * (a - b)
+        assert_clean(r)
+        assert r == naive_mul(a, a) - naive_mul(b, b)
+
+    @SETTINGS
+    @given(shapes(), st.integers(1, 3), st.data())
+    def test_substitute_matches_naive_fractions(self, shape, p, data):
+        n, T = shape
+        f = data.draw(jets((p, T), max_terms=5))
+        m = data.draw(st.lists(jets(shape, max_terms=3), min_size=p, max_size=p))
+        r = substitute(f, m)
+        assert_clean(r)
+        assert r == naive_substitute(f, m)
+        if p >= 2:
+            # f and f with x_0, x_1 swapped agree on (m_0, m_0, ...): every
+            # term of their difference cancels inside substitute
+            swapped = Jet(p, T, {(a[1], a[0]) + a[2:]: c for a, c in f._c.items()})
+            r = substitute(f - swapped, [m[0]] * p)
+            assert_clean(r)
+            assert r.is_zero()
+
+    @SETTINGS
+    @given(st.integers(1, 3), st.integers(1, 8), st.data())
+    def test_implicit_solve_round_trip(self, n, T, data):
+        i = data.draw(st.integers(0, n - 1))
+        z = data.draw(jets((n, T), constant=False))
+        pivot = tuple(1 if j == i else 0 for j in range(n))
+        z = z + Jet(n, T, {pivot: data.draw(NONZERO) - z.coeff(pivot)})
+        phi = implicit_solve(z, i)
+        assert_clean(phi)
+        assert phi.trunc == T and phi.constant_term == 0
+        comps = [Jet.variable(j, n - 1, T) for j in range(n - 1)]
+        comps.insert(i, phi)
+        assert substitute(z, comps, base=[0] * n).is_zero()
+
+    @SETTINGS
+    @given(st.integers(1, 3), st.integers(1, 8), st.data())
+    def test_invert_map_round_trip(self, n, T, data):
+        row = st.lists(RATIONALS, min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        assume(mat_det(rows) != 0)
+        highs = data.draw(st.lists(jets((n, T), max_terms=4), min_size=n, max_size=n))
+        g = PolyMap([
+            lc + Jet(n, T, {a: c for a, c in hc._c.items() if sum(a) >= 2})
+            for lc, hc in zip(PolyMap.from_matrix(rows, T).components, highs)
+        ])
+        h = invert_map(g)
+        for c in h.components:
+            assert_clean(c)
+        assert compose_maps(g, h) == PolyMap.identity(n, T)
+        assert compose_maps(h, g) == PolyMap.identity(n, T)
 
     def test_substitute_cancellation_is_pruned(self):
         x, y = Jet.variable(0, 2, 6), Jet.variable(1, 2, 6)
