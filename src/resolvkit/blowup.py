@@ -79,16 +79,15 @@ class ChartMap:
             raise ShapeError("jet frame does not match the chart")
         i = self.chart_index
         others = [j for j in self.center.indices if j != i]
+        # alpha -> beta is injective (alpha_i = beta_i - sum of the others),
+        # so distinct terms of f stay distinct and nonzero
         out = {}
         for alpha, c in f.terms():
             beta = list(alpha)
             beta[i] = alpha[i] + sum(alpha[j] for j in others)
-            if sum(beta) > f.trunc:
-                continue
-            key = tuple(beta)
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-        return Jet(f.nvars, f.trunc, out)
+            if sum(beta) <= f.trunc:
+                out[tuple(beta)] = c
+        return Jet._trusted(f.nvars, f.trunc, out)
 
     def components(self, trunc: int) -> PolyMap:
         """The chart substitution as an exact polynomial map (parent of child)."""

@@ -214,9 +214,11 @@ def _cmd_compose(args, out):
         raise ParseError(
             f"gamma has {len(gamma)} entries, expected {len(names)}", 0
         )
-    shifted = [c - Jet.constant(c.constant_term, c.nvars, c.trunc) for c in inner]
+    # f(g) = f(g(0) + (g - g(0))): recentre f at g(0), shift g to vanish there
+    constants = [c.constant_term for c in inner]
+    shifted = [c - Jet.constant(b, c.nvars, c.trunc) for c, b in zip(inner, constants)]
     coeff = compose_coefficient(
-        jet_to_table(outer), [jet_to_table(c) for c in shifted], gamma
+        jet_to_table(outer.recenter(constants)), [jet_to_table(c) for c in shifted], gamma
     )
     oracle = substitute(outer, inner).coeff(gamma)
     match = coeff == oracle

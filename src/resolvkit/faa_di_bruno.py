@@ -8,9 +8,15 @@ with pairwise distinct nonzero exponent vectors ``delta_i`` and nonzero
 multiplier vectors ``k_i``; each decomposition contributes the multinomial
 alpha!/(k_1! ... k_l!) with alpha = k_1 + ... + k_l, times f_alpha and the
 products of chosen g-coefficients.  This module enumerates decompositions
-canonically (deltas in graded-lex order), computes the composite coefficient,
-and evaluates the dominating generating function obtained by replacing every
-coefficient with lambda^{|alpha|}.
+canonically (deltas in graded-lex order) and evaluates the dominating
+generating function obtained by replacing every coefficient with
+lambda^{|alpha|}, whose terms are all nonzero.
+
+:func:`compose_coefficient` sums the same terms but never builds the zero
+ones: it walks only the nonzero coefficients of the inner tables that fit
+under gamma, so its cost follows the tables' support, not the number of
+decompositions.  :func:`enumerate_decompositions` is the reference the tests
+compare it against.
 
 Everything is exact; coefficient tables are plain dicts from exponent tuples
 to Fractions.
@@ -22,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
+from operator import le, sub
 
 from .series import Jet, Multiindex, grlex_key, substitute
 
@@ -57,17 +64,15 @@ def _box(gamma: Multiindex):
     return out
 
 
-@lru_cache(maxsize=None)
-def _weighted_partitions(gamma: Multiindex, max_total_weight: int | None):
+@lru_cache(maxsize=256)
+def _weighted_partitions(gamma: Multiindex):
     """Tuples ((delta, w), ...) with strictly increasing deltas, w >= 1.
 
-    Each tuple satisfies sum w * delta = gamma; ``max_total_weight`` prunes
-    branches whose weight sum already exceeds the bound (used when the outer
-    series has bounded degree).
+    Each tuple satisfies sum w * delta = gamma.
     """
     deltas = _box(gamma)
 
-    def rec(remaining, start, weight_left):
+    def rec(remaining, start):
         if not any(remaining):
             return [()]
         out = []
@@ -78,17 +83,14 @@ def _weighted_partitions(gamma: Multiindex, max_total_weight: int | None):
             w = 1
             scaled = d
             while all(a <= b for a, b in zip(scaled, remaining)):
-                if weight_left is not None and w > weight_left:
-                    break
                 rest = tuple(b - a for a, b in zip(scaled, remaining))
-                wl = None if weight_left is None else weight_left - w
-                for tail in rec(rest, idx + 1, wl):
+                for tail in rec(rest, idx + 1):
                     out.append(((d, w),) + tail)
                 w += 1
                 scaled = tuple(a + b for a, b in zip(scaled, d))
         return out
 
-    return tuple(rec(gamma, 0, max_total_weight))
+    return tuple(rec(gamma, 0))
 
 
 def _compositions(total: int, parts: int):
@@ -102,14 +104,12 @@ def _compositions(total: int, parts: int):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _nonzero_compositions(total: int, parts: int):
     return tuple(k for k in _compositions(total, parts) if any(k))
 
 
-def enumerate_decompositions(
-    gamma, p: int, max_total_weight: int | None = None
-) -> list[Decomposition]:
+def enumerate_decompositions(gamma, p: int) -> list[Decomposition]:
     """Complete duplicate-free list of decompositions of gamma.
 
     Multipliers k_i run over nonzero vectors in N^p; deltas within one
@@ -122,7 +122,7 @@ def enumerate_decompositions(
     if p < 1:
         raise ValueError("p must be at least 1")
     out = []
-    for shape in _weighted_partitions(gamma, max_total_weight):
+    for shape in _weighted_partitions(gamma):
         choices = [_nonzero_compositions(w, p) for _, w in shape]
         for ks in product(*choices):
             pairs = tuple((d, k) for (d, _), k in zip(shape, ks))
@@ -148,8 +148,28 @@ def multinomial_coefficient(alpha, ks) -> int:
     return num // den
 
 
-def _table_max_degree(table) -> int:
-    return max((sum(a) for a in table), default=0)
+def _check_tables(f_table, g_tables, gamma):
+    """Reject argument shapes that would make the sum silently zero."""
+    n, p = len(gamma), len(g_tables)
+    if p < 1:
+        raise ValueError("compose_coefficient needs at least one inner table")
+    if any(g < 0 for g in gamma):
+        raise ValueError(f"gamma {gamma} has a negative entry")
+    for j, t in enumerate(g_tables):
+        for key in t:
+            if len(key) != n:
+                raise ValueError(
+                    f"inner table {j} has key {key} of length {len(key)}, "
+                    f"but gamma {gamma} has length {n}"
+                )
+        if t.get((0,) * n, 0) != 0:
+            raise ValueError("inner components must have zero constant term")
+    for key in f_table:
+        if len(key) != p:
+            raise ValueError(
+                f"outer table has key {key} of length {len(key)}, "
+                f"but there are {p} inner tables"
+            )
 
 
 def compose_coefficient(f_table, g_tables, gamma) -> Fraction:
@@ -159,39 +179,75 @@ def compose_coefficient(f_table, g_tables, gamma) -> Fraction:
     (centered at g(0)); ``g_tables`` is one table per component of the inner
     map, each with zero constant term.  Exactly matches the coefficient
     extracted from :func:`resolvkit.series.substitute` on the same data.
+
+    Only terms that can be nonzero are visited.  An atom is a pair
+    (delta, j) with g_j[delta] != 0 and delta <= gamma; a term is a multiset
+    of atoms, atom (delta, j) taken m times, with sum m * delta = gamma.
+    With alpha_j the sum of the m of the atoms of index j, it contributes
+    alpha!/prod m! * f_alpha * prod g_j[delta]^m: the term of the
+    decomposition with k_i = (the m of atom (delta_i, j))_j.  The walk takes
+    the atoms in graded-lex order of delta, then j, and prunes as soon as
+    the remaining exponent would go negative or |alpha| would pass the
+    degree of f, so it is at most |gamma| deep.  The sum runs on integers:
+    f over the lcm of its denominators, every g_j over one common lcm D,
+    each term scaled to D^|gamma|; one ``Fraction`` is built at the end.
+    The sum over :func:`enumerate_decompositions` is the reference the
+    tests compare it against.
     """
     gamma = tuple(int(g) for g in gamma)
-    p = len(g_tables)
-    for t in g_tables:
-        zero = (0,) * len(gamma)
-        if t.get(zero, Fraction(0)) != 0:
-            raise ValueError("inner components must have zero constant term")
+    _check_tables(f_table, g_tables, gamma)
     if not any(gamma):
-        return Fraction(f_table.get((0,) * p, Fraction(0)))
-    max_w = _table_max_degree(f_table)
-    total = Fraction(0)
-    for dec in enumerate_decompositions(gamma, p, max_total_weight=max_w):
-        alpha = dec.alpha
-        fa = f_table.get(alpha)
-        if not fa:
-            continue
-        term = Fraction(fa)
-        ok = True
-        for delta, k in dec.pairs:
-            for j, kj in enumerate(k):
-                if kj == 0:
-                    continue
-                gj = g_tables[j].get(delta)
-                if not gj:
-                    ok = False
+        return Fraction(f_table.get((0,) * len(g_tables), 0))
+    outer = {a: Fraction(c) for a, c in f_table.items() if c}
+    # (delta, j) pairs are distinct, so the sort never compares coefficients
+    atoms = sorted(
+        (sum(delta), delta, j, Fraction(c))
+        for j, t in enumerate(g_tables)
+        for delta, c in t.items()
+        if c and all(map(le, delta, gamma))
+    )
+    if not outer or not atoms:
+        return Fraction(0)
+    f_den = lcm(*[c.denominator for c in outer.values()])
+    f_num = {a: c.numerator * (f_den // c.denominator) for a, c in outer.items()}
+    g_den = lcm(*[c.denominator for *_, c in atoms])
+    atoms = [
+        (deg, delta, j, c.numerator * (g_den // c.denominator))
+        for deg, delta, j, c in atoms
+    ]
+    size = sum(gamma)
+    max_weight = min(size, max(map(sum, f_num)))
+    # a term of weight |alpha| = w carries g_den^-w; scale it to g_den^-|gamma|
+    scale = [g_den ** (size - w) for w in range(size + 1)]
+    alpha = [0] * len(g_tables)
+    total = 0
+
+    def walk(start, rem, left, weight, acc):
+        # acc = alpha!/prod m! * prod (g_den * g_j[delta])^m over the atoms taken
+        nonlocal total
+        if not left:
+            fa = f_num.get(tuple(alpha))
+            if fa:
+                total += acc * fa * scale[weight]
+            return
+        for idx in range(start, len(atoms)):
+            deg, delta, j, c = atoms[idx]
+            if deg > left:
+                break  # atoms are sorted by degree: no later one fits
+            a0, r, w, m = alpha[j], rem, acc, 0
+            while weight + m < max_weight:
+                r = tuple(map(sub, r, delta))
+                if min(r) < 0:
                     break
-                term *= Fraction(gj) ** kj
-            if not ok:
-                break
-        if not ok:
-            continue
-        total += dec.multinomial() * term
-    return total
+                m += 1
+                # times c and (a0 + m) / m: the multinomial grows by C(a0 + m, m)
+                w = w * c * (a0 + m) // m
+                alpha[j] = a0 + m
+                walk(idx + 1, r, left - m * deg, weight + m, w)
+            alpha[j] = a0
+
+    walk(0, gamma, size, 0, 1)
+    return Fraction(total, f_den * g_den**size)
 
 
 def majorant_coefficient(lam, n: int, p: int, gamma) -> Fraction:

@@ -14,9 +14,9 @@ operation is a pure function, so values can be shared freely between tasks.
 ``Jet(...)`` validates and normalizes whatever it is given; it is the only way
 in for outside data (parsed expressions, tree JSON, user code).  The private
 ``Jet._trusted`` wraps a dict without looking at it, and only the operations
-of this module use it, on dicts that are clean by construction: tuple keys of
-the right length with nonnegative entries of total degree at most ``trunc``,
-and nonzero ``Fraction`` values.
+of this module and ``blowup.ChartMap.pullback`` use it, on dicts that are
+clean by construction: tuple keys of the right length with nonnegative
+entries of total degree at most ``trunc``, and nonzero ``Fraction`` values.
 
 The inner loops of ``Jet.__mul__`` and :func:`substitute` run on integers:
 each operand is put over the lcm of its denominators and its exponents are
@@ -216,8 +216,8 @@ class Jet:
     def _trusted(cls, nvars: int, trunc: int, clean: dict) -> "Jet":
         """Wrap ``clean`` as it is, without validation; the jet owns it.
 
-        For this module's operations only: ``clean`` must already satisfy
-        every invariant that ``__init__`` establishes.
+        For this module's operations and ``ChartMap.pullback`` only: ``clean``
+        must already satisfy every invariant that ``__init__`` establishes.
         """
         jet = object.__new__(cls)
         object.__setattr__(jet, "nvars", nvars)

@@ -3,7 +3,9 @@
 from fractions import Fraction
 from itertools import product
 import random
+import re
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from resolvkit.faa_di_bruno import (
@@ -151,6 +153,25 @@ class TestComposeCoefficient:
         with pytest.raises(ValueError):
             compose_coefficient({(1,): Fraction(1)}, [{(0,): Fraction(1)}], (1,))
 
+    def test_zero_gamma(self):
+        f = {(0, 0): Fraction(3, 2), (1, 0): Fraction(1)}
+        assert compose_coefficient(f, [{(1,): 1}, {(2,): 1}], (0,)) == Fraction(3, 2)
+
+    @pytest.mark.parametrize("f, g, gamma, message", [
+        ({(1,): 1}, [{(1,): 1}], (-1,), "negative entry"),
+        ({(1,): 1}, [{(1, 0): 1}], (1, 2, -1), "negative entry"),
+        # gamma shorter, then longer, than the inner tables' keys
+        ({(1,): 1}, [{(1, 0): 1}], (1,), "key (1, 0) of length 2"),
+        ({(1,): 1}, [{(1,): 1}], (1, 1), "key (1,) of length 1"),
+        # outer keys shorter, then longer, than the number of inner tables
+        ({(1,): 1}, [{(1,): 1}, {(2,): 1}], (2,), "outer table has key (1,)"),
+        ({(1, 1): 1}, [{(1,): 1}], (2,), "outer table has key (1, 1)"),
+        ({(1,): 1}, [], (1,), "at least one inner table"),
+    ])
+    def test_malformed_arguments_rejected(self, f, g, gamma, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compose_coefficient(f, g, gamma)
+
     def test_oracle_equivalence_random(self):
         rng = random.Random(20)
         for _ in range(40):
@@ -168,6 +189,65 @@ class TestComposeCoefficient:
             gts = [jet_to_table(gj) for gj in gs]
             for gamma in _small_gammas(n, 6):
                 assert compose_coefficient(ft, gts, gamma) == h.coeff(gamma)
+
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+# mixed denominators and explicit zeros, so tables rarely share a denominator
+# and zero entries must be skipped, never taken as atoms
+RATIONALS = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(-5, 6), Fraction(7)]
+) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def compose_cases(draw):
+    """Outer and inner tables and a nonzero gamma with |gamma| <= 6.
+
+    gamma may have zero entries, the outer table is dense to a degree that
+    may be below |gamma|, and the last inner table may be empty."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gamma = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)))
+    if sum(gamma) > 6:
+        gamma = tuple(min(g, 2) for g in gamma)
+    f_deg = max(0, sum(gamma) - draw(st.integers(0, 2)))
+    f = {
+        a: draw(RATIONALS)
+        for a in product(range(f_deg + 1), repeat=p) if sum(a) <= f_deg
+    }
+    g_exps = [d for d in product(*[range(g + 1) for g in gamma]) if any(d)]
+    g_table = st.dictionaries(st.sampled_from(g_exps), RATIONALS, min_size=1, max_size=6)
+    gs = [draw(g_table) for _ in range(p)]
+    if draw(st.booleans()):
+        gs[-1] = {}
+    return f, gs, gamma
+
+
+def decomposition_sum(f, gs, gamma):
+    """Reference sum: one term for every decomposition, zero terms included."""
+    total = Fraction(0)
+    for dec in enumerate_decompositions(gamma, len(gs)):
+        term = dec.multinomial() * Fraction(f.get(dec.alpha, 0))
+        for delta, k in dec.pairs:
+            for g, kj in zip(gs, k):
+                term *= Fraction(g.get(delta, 0)) ** kj
+        total += term
+    return total
+
+
+class TestComposeProperties:
+    @SETTINGS
+    @given(compose_cases())
+    def test_matches_decomposition_sum(self, case):
+        f, gs, gamma = case
+        assert compose_coefficient(f, gs, gamma) == decomposition_sum(f, gs, gamma)
+
+    @SETTINGS
+    @given(compose_cases())
+    def test_matches_substitute(self, case):
+        f, gs, gamma = case
+        n, p, T = len(gamma), len(gs), sum(gamma)
+        h = substitute(Jet(p, T, f), [Jet(n, T, g) for g in gs])
+        assert compose_coefficient(f, gs, gamma) == h.coeff(gamma)
 
 
 def _random_poly(rng, nvars, deg, trunc):

@@ -2,18 +2,21 @@
 
 Every speed-up of the kernel or the driver must leave ``to_json()`` byte for
 byte as it was.  These SHA-256 digests pin it for a few bundled inputs and
-one dense germ (whose drive runs ``implicit_solve`` on a dense jet), and pin
-the terms of ``invert_map`` and ``inverse_majorant`` on fixed inputs; a
+one dense germ (whose drive runs ``implicit_solve`` on a dense jet), pin
+the terms of ``invert_map`` and ``inverse_majorant`` on fixed inputs, and
+pin a few ``compose_coefficient`` values on fixed tables; a
 change that alters the JSON on purpose (a new format) updates them in the
 same change and says why.
 """
 
 import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from resolvkit.carleman import GrowthSequence, inverse_majorant
+from resolvkit.faa_di_bruno import compose_coefficient
 from resolvkit.parse import parse_many
 from resolvkit.resolve import (
     RunConfig,
@@ -90,4 +93,27 @@ def test_inverse_majorant_digest():
                          GrowthSequence.gevrey(1), 8)
     assert _terms_digest([G]) == (
         "96e4d0a817a0e4d4527bc9138110c7afee49d887a5761b9ce842240297651f58"
+    )
+
+
+def _table(nvars, lo, hi, coeff):
+    return {
+        a: coeff(*a)
+        for a in product(range(hi + 1), repeat=nvars)
+        if lo <= sum(a) <= hi
+    }
+
+
+def test_compose_coefficient_digest():
+    # 3 inner components in 3 variables, every table dense with mixed
+    # denominators and some explicit zeros, at six gammas of degree 7
+    f = _table(3, 0, 7, lambda a, b, c: Fraction(a - 2 * b + c, 1 + (a + 2 * c) % 4))
+    gs = [
+        _table(3, 1, 3, lambda a, b, c, j=j: Fraction(j + a - b * c, 2 + (j + b) % 3))
+        for j in range(3)
+    ]
+    gammas = [(7, 0, 0), (3, 2, 2), (0, 4, 3), (1, 1, 5), (2, 5, 0), (4, 0, 3)]
+    text = repr([compose_coefficient(f, gs, gamma) for gamma in gammas])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "98f9724da5d56e2076a16b31c58804d746be91cceb8fa26d8df9aa2959de9c75"
     )

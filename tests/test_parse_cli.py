@@ -131,6 +131,22 @@ class TestCliRuns:
         assert code == 0
         assert "coefficient at gamma=[3]: 1" in text
 
+    def test_compose_inner_constants(self):
+        # (1 + x)^2 = 1 + 2x + x^2 and (1 + x + y)(2 - x) at (1, 1): the outer
+        # series must be recentred at the inner map's value at the origin
+        code, text = run_cli(["compose", "u^2", "1 + x", "--gamma", "1"])
+        assert code == 0
+        assert "coefficient at gamma=[1]: 2" in text
+        code, text = run_cli(["compose", "u*v", "1 + x + y, 2 - x", "--gamma", "1,1"])
+        assert code == 0
+        assert "coefficient at gamma=[1, 1]: -1" in text
+        assert "oracle-match: true" in text
+
+    def test_compose_negative_gamma_exit_four(self):
+        code, text = run_cli(["compose", "u^2", "x", "--gamma", "-1"])
+        assert code == 4
+        assert "negative entry" in text
+
     def test_input_error_exit_four(self):
         code, text = run_cli(["resolve", "x^(1/2)"])
         assert code == 4
