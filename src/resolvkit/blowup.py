@@ -23,8 +23,7 @@ from .series import (
     OrderResult,
     PolyMap,
     ShapeError,
-    compose_maps,
-    grlex_key,
+    compose_maps,  # noqa: F401  (bench/spans.py wraps blowup.compose_maps by name)
 )
 
 
@@ -78,16 +77,7 @@ class ChartMap:
         if f.nvars != self.nvars:
             raise ShapeError("jet frame does not match the chart")
         i = self.chart_index
-        others = [j for j in self.center.indices if j != i]
-        # alpha -> beta is injective (alpha_i = beta_i - sum of the others),
-        # so distinct terms of f stay distinct and nonzero
-        out = {}
-        for alpha, c in f.terms():
-            beta = list(alpha)
-            beta[i] = alpha[i] + sum(alpha[j] for j in others)
-            if sum(beta) <= f.trunc:
-                out[tuple(beta)] = c
-        return Jet._trusted(f.nvars, f.trunc, out)
+        return f.chart_pullback(i, [j for j in self.center.indices if j != i])
 
     def components(self, trunc: int) -> PolyMap:
         """The chart substitution as an exact polynomial map (parent of child)."""
@@ -105,92 +95,6 @@ class ChartMap:
 def order_along_center(f: Jet, center: Center) -> OrderResult:
     """Min over stored terms of the total exponent on the center coordinates."""
     return f.order_along(center.indices)
-
-
-def weak_transform(f: Jet, chart: ChartMap, d: int) -> Jet:
-    """Pullback divided by the d-th power of the exceptional coordinate.
-
-    ``d`` must be the order of f along the center; the division is verified
-    exactly and fails loudly if d exceeds the factorable power.
-    """
-    expected = order_along_center(f, chart.center)
-    if not expected.is_finite or expected.value != d:
-        raise ValueError(
-            f"declared multiplicity {d} does not match the order along the center ({expected})"
-        )
-    g = chart.pullback(f)
-    out = g
-    for _ in range(d):
-        out = out.divide_by_coordinate(chart.exceptional_index)
-    return out
-
-
-def strict_transform_hypersurface(g: Jet, chart: ChartMap) -> tuple[int, Jet]:
-    """Factor the maximal exceptional power from the pullback.
-
-    For hypersurfaces this coincides with the weak transform; returns the
-    factored exponent together with the transform.
-    """
-    if g.is_zero():
-        raise ValueError("strict transform of the zero jet is undefined")
-    pulled = chart.pullback(g)
-    return pulled.factor_coordinate_power(chart.exceptional_index)
-
-
-def equimultiple_generators(g: Jet, d: int) -> list[Jet]:
-    """All partials D^alpha g with |alpha| < d; they cut out the d-fold locus."""
-    if d < 1:
-        raise ValueError("multiplicity must be at least 1")
-    if d > g.trunc:
-        raise ValueError("multiplicity exceeds the certified truncation")
-    from itertools import product
-
-    out = []
-    alphas = [
-        a
-        for a in product(range(d), repeat=g.nvars)
-        if sum(a) < d
-    ]
-    alphas.sort(key=grlex_key)
-    for alpha in alphas:
-        h = g
-        for i, e in enumerate(alpha):
-            h = h.nth_partial(i, e)
-        out.append(h)
-    return out
-
-
-@dataclass(frozen=True)
-class CenterOrderReport:
-    ok: bool
-    center_order: OrderResult
-    sample_orders: tuple
-    achieved_at: int | None  # index of a sample achieving equality
-
-
-def center_order_consistency(g: Jet, center: Center, samples) -> CenterOrderReport:
-    """Check order-along-center <= pointwise order on the center, with equality.
-
-    Every sample must lie on the center; the pointwise order at a sample is
-    the order at the origin after recentering.  Equality must be achieved at
-    at least one sample (generic rational samples achieve it).
-    """
-    mu_c = order_along_center(g, center)
-    orders = []
-    achieved = None
-    for k, pt in enumerate(samples):
-        pt = list(pt)
-        if any(pt[i] != 0 for i in center.indices):
-            raise ValueError(f"sample {pt} is not on the center")
-        local = g.recenter(pt).order()
-        orders.append(local)
-        if mu_c.is_finite and local.is_finite:
-            if local.value < mu_c.value:
-                return CenterOrderReport(False, mu_c, tuple(orders), None)
-            if local.value == mu_c.value and achieved is None:
-                achieved = k
-    ok = (not mu_c.is_finite) or achieved is not None
-    return CenterOrderReport(ok, mu_c, tuple(orders), achieved)
 
 
 @dataclass(frozen=True)
@@ -378,18 +282,3 @@ def normal_crossings_check(jets, extra: Jet | None = None) -> CrossingsReport:
                 fct = work[rr][pivot_col] * inv
                 work[rr] = [a - fct * b for a, b in zip(work[rr], work[r])]
     return CrossingsReport(True, tuple(assignments), None)
-
-
-def jacobian_determinant(charts, trunc: int) -> Jet:
-    """Determinant of the Jacobian of a composite of chart maps, as a jet.
-
-    ``charts`` lists the maps from first applied to last; a single chart on a
-    center of codimension kappa gives (plus or minus) y_i^{kappa - 1}.
-    """
-    charts = list(charts)
-    if not charts:
-        raise ValueError("need at least one chart")
-    composite = charts[0].components(trunc)
-    for chart in charts[1:]:
-        composite = compose_maps(composite, chart.components(trunc))
-    return composite.jacobian_det()

@@ -7,30 +7,30 @@ of higher-order terms are unknown, not zero.  Operations that lose degree
 information (differentiation, division by a coordinate) return jets with a
 smaller recorded truncation instead of silently padding.
 
-All coefficients are ``fractions.Fraction`` values; there is no floating point
-anywhere in this module.  Jets are immutable after construction and every
-operation is a pure function, so values can be shared freely between tasks.
+A jet stores its coefficients as integer numerators over one positive common
+denominator: a dict from packed exponent key (see :class:`_Frame`) to nonzero
+``int`` numerator, and the denominator.  The form is canonical: no zero
+numerator is stored, and no factor is common to the denominator and every
+numerator.  So two jets of one frame are equal exactly when their dicts and
+denominators are, and ``hash`` agrees.  Every operation of this module reads
+and writes that form with integer arithmetic only: a term of a product costs
+one ``int`` multiply and one ``int`` add, and a result is brought back to
+canonical form by one gcd over its numerators.
 
-``Jet(...)`` validates and normalizes whatever it is given; it is the only way
-in for outside data (parsed expressions, tree JSON, user code).  The private
-``Jet._trusted`` wraps a dict without looking at it, and only the operations
-of this module and ``blowup.ChartMap.pullback`` use it, on dicts that are
-clean by construction: tuple keys of the right length with nonnegative
-entries of total degree at most ``trunc``, and nonzero ``Fraction`` values.
-
-The inner loops of ``Jet.__mul__`` and :func:`substitute` run on integers:
-each operand is put over the lcm of its denominators and its exponents are
-packed into one ``int`` (see :class:`_Frame`), so a term of a product costs
-one ``int`` multiply and one ``int`` add, with no gcd.  Each nonzero result
-coefficient becomes one reduced ``Fraction`` on the way out; every jet that
-leaves those loops holds ``Fraction`` values only.
+``Fraction`` appears only at the public boundary.  ``Jet(...)`` validates and
+normalizes whatever it is given (parsed expressions, tree JSON, user code) and
+packs it; ``terms``, ``coeff``, ``support``, ``constant_term``,
+``gradient_at_zero``, ``eval_at`` and :func:`format_jet` convert on the way
+out.  There is no floating point anywhere in this module.  Jets are immutable
+after construction and every operation is a pure function, so values can be
+shared freely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod as _prod
+from math import comb, gcd, lcm, prod as _prod
 from operator import mul
 
 Multiindex = tuple[int, ...]
@@ -81,54 +81,77 @@ def _unit_vector(i: int, nvars: int) -> Multiindex:
 
 
 class _Frame:
-    """Packing of the exponents of one frame (``nvars``, ``trunc``) into ints.
+    """Packed exponent keys of the frame (``nvars``, ``trunc``).
 
-    ``alpha`` packs to ``|alpha| * top + sum_i alpha_i * base**i`` with
-    ``base = trunc + 1`` and ``top = base**nvars``.  Within the truncation no
-    digit carries, so the key of a product term is the sum of its factors'
-    keys, and ``|alpha| + |beta| <= trunc`` exactly when the sum of their keys
-    is below ``limit = (trunc + 1) * top``.  Sorting keys sorts by degree.
+    Each exponent takes one digit of ``shift`` bits, and ``alpha`` packs to
+    ``|alpha| * top + sum_i alpha_i << offsets[i]`` with ``top = 2**(shift *
+    nvars)`` and ``offsets[i] = shift * (nvars - 1 - i)``.  Since the base
+    ``2**shift`` exceeds ``trunc``:
+
+    - within the truncation no digit carries, so the key of a product term is
+      the sum of its factors' keys, and ``|alpha| + |beta| <= trunc`` exactly
+      when that sum is below ``limit = (trunc + 1) * top``;
+    - keys sort in graded-lex order (:func:`grlex_key`), so the terms of
+      degree ``k`` are the keys in ``[k * top, (k + 1) * top)``.
+
+    ``shift = max(6, trunc.bit_length())`` depends on ``trunc`` only through
+    that bound, so all frames of one variable count up to truncation 63 share
+    their keys, and cutting the truncation of a jet filters its keys.
+    :meth:`rekey` moves keys between frames that do not share them.
     """
 
-    __slots__ = ("nvars", "base", "top", "weights", "limit")
+    __slots__ = ("nvars", "shift", "mask", "offsets", "top", "weights", "limit")
 
     def __init__(self, nvars: int, trunc: int):
+        s = max(6, trunc.bit_length())
         self.nvars = nvars
-        self.base = trunc + 1
-        self.top = self.base**nvars
-        self.weights = tuple(self.base**i + self.top for i in range(nvars))
+        self.shift = s
+        self.mask = (1 << s) - 1
+        self.offsets = tuple(s * (nvars - 1 - i) for i in range(nvars))
+        self.top = 1 << (s * nvars)
+        # weights[i] is the key of x_i: a step of one digit and one degree
+        self.weights = tuple(self.top + (1 << off) for off in self.offsets)
         self.limit = (trunc + 1) * self.top
 
-    def numerators(self, coeffs: dict) -> tuple[dict[int, int], int]:
-        """``coeffs`` over the lcm of its denominators: packed key -> integer
-        numerator, and that lcm."""
-        den = lcm(*[c.denominator for c in coeffs.values()])
-        w = self.weights
-        return {
-            sum(map(mul, a, w)): c.numerator * (den // c.denominator)
-            for a, c in coeffs.items()
-        }, den
+    def pack(self, alpha: Multiindex) -> int:
+        return sum(map(mul, alpha, self.weights))
 
-    def fractions(self, nums: dict[int, int], den: int) -> dict[Multiindex, Fraction]:
-        """Back to exponent tuples and reduced Fractions, dropping zeros."""
-        base, top, n = self.base, self.top, self.nvars
-        out = {}
-        for key, v in nums.items():
-            if v:
-                key %= top
-                alpha = []
-                for _ in range(n):
-                    key, e = divmod(key, base)
-                    alpha.append(e)
-                out[tuple(alpha)] = Fraction(v, den)
-        return out
+    def unpack(self, key: int) -> Multiindex:
+        m = self.mask
+        return tuple((key >> off) & m for off in self.offsets)
+
+    def rekey(self, nums: dict[int, int], other: "_Frame") -> dict[int, int]:
+        """``nums`` keyed in ``other``, a frame of the same variable count;
+        ``nums`` itself when the two frames share their keys."""
+        if other.shift == self.shift:
+            return nums
+        return {other.pack(self.unpack(k)): v for k, v in nums.items()}
 
 
 _frame = lru_cache(maxsize=256)(_Frame)
 
 
+def _common_den(coeffs: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Nonzero reduced Fractions over the lcm of their denominators: the
+    canonical numerators and that lcm."""
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+
+
+def _reduce(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Canonical form of ``nums / den`` (``den > 0``): zeros dropped and the
+    common factor of the denominator and the numerators divided out."""
+    if 0 in nums.values():
+        nums = {k: v for k, v in nums.items() if v}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {k: v // g for k, v in nums.items()}
+        den //= g
+    return nums, den
+
+
 def _mul_numerators(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int]:
-    """Product of two packed numerator dicts, cut at the frame's truncation.
+    """Product of two packed numerator dicts, cut at the frame's ``limit``.
 
     Terms that cancel stay in the result as zeros."""
     bs = sorted(b.items())
@@ -184,16 +207,17 @@ class OrderResult:
 class Jet:
     """Truncated power series with exact rational coefficients.
 
-    ``coeffs`` maps exponent tuples (one entry per variable) to nonzero
-    Fractions; zero coefficients and terms above the truncation are pruned on
-    construction, so equality is map equality at equal shape.
+    ``Jet(nvars, trunc, coeffs)`` takes a map (or pairs) from exponent tuples
+    to rationals; zero coefficients and terms above the truncation are pruned,
+    so equality is equality of the stored terms at equal shape.
     """
 
-    __slots__ = ("nvars", "trunc", "_c")
+    __slots__ = ("nvars", "trunc", "_nums", "_den")
 
     def __init__(self, nvars: int, trunc: int, coeffs=None):
         _check_frame(nvars, trunc)
-        clean: dict[Multiindex, Fraction] = {}
+        frame = _frame(nvars, trunc)
+        clean: dict[int, Fraction] = {}
         if coeffs:
             for alpha, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
                 alpha = tuple(int(a) for a in alpha)
@@ -204,25 +228,30 @@ class Jet:
                 c = _frac(c)
                 if c == 0:
                     continue
-                prev = clean.get(alpha)
-                clean[alpha] = c if prev is None else prev + c
-                if clean[alpha] == 0:
-                    del clean[alpha]
+                key = frame.pack(alpha)
+                prev = clean.get(key)
+                clean[key] = c if prev is None else prev + c
+                if clean[key] == 0:
+                    del clean[key]
+        nums, den = _common_den(clean)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_c", clean)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _trusted(cls, nvars: int, trunc: int, clean: dict) -> "Jet":
-        """Wrap ``clean`` as it is, without validation; the jet owns it.
+    def _packed(cls, nvars: int, trunc: int, nums: dict[int, int], den: int) -> "Jet":
+        """Wrap ``nums / den`` as it is, without validation; the jet owns ``nums``.
 
-        For this module's operations and ``ChartMap.pullback`` only: ``clean``
-        must already satisfy every invariant that ``__init__`` establishes.
+        For this module's operations only: ``nums`` must be keyed in
+        ``_frame(nvars, trunc)`` below its limit and, with ``den``, be in the
+        canonical form of :func:`_reduce`.
         """
         jet = object.__new__(cls)
         object.__setattr__(jet, "nvars", nvars)
         object.__setattr__(jet, "trunc", trunc)
-        object.__setattr__(jet, "_c", clean)
+        object.__setattr__(jet, "_nums", nums)
+        object.__setattr__(jet, "_den", den)
         return jet
 
     def __setattr__(self, name, value):
@@ -232,20 +261,24 @@ class Jet:
 
     @classmethod
     def zero(cls, nvars: int, trunc: int) -> "Jet":
-        return cls(nvars, trunc)
+        _check_frame(nvars, trunc)
+        return cls._packed(nvars, trunc, {}, 1)
 
     @classmethod
     def constant(cls, value, nvars: int, trunc: int) -> "Jet":
         value = _frac(value)
         _check_frame(nvars, trunc)
-        return cls._trusted(nvars, trunc, {(0,) * nvars: value} if value else {})
+        if not value:
+            return cls._packed(nvars, trunc, {}, 1)
+        return cls._packed(nvars, trunc, {0: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, i: int, nvars: int, trunc: int) -> "Jet":
         if not 0 <= i < nvars:
             raise ShapeError(f"variable index {i} out of range for {nvars} variables")
         _check_frame(nvars, trunc)
-        return cls._trusted(nvars, trunc, {_unit_vector(i, nvars): Fraction(1)} if trunc else {})
+        nums = {_frame(nvars, trunc).weights[i]: 1} if trunc else {}
+        return cls._packed(nvars, trunc, nums, 1)
 
     @classmethod
     def monomial(cls, alpha, coeff, trunc: int) -> "Jet":
@@ -255,36 +288,46 @@ class Jet:
     # -- basic views -------------------------------------------------------
 
     def coeff(self, alpha) -> Fraction:
-        return self._c.get(tuple(alpha), Fraction(0))
+        """Coefficient of x^alpha; zero for an exponent above the truncation."""
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != self.nvars or any(a < 0 for a in alpha):
+            raise ShapeError(f"bad multiindex {alpha} for {self.nvars} variables")
+        if sum(alpha) > self.trunc:
+            return Fraction(0)
+        key = _frame(self.nvars, self.trunc).pack(alpha)
+        return Fraction(self._nums.get(key, 0), self._den)
 
     def terms(self):
         """Stored (multiindex, coefficient) pairs in graded-lex order."""
-        return [(a, self._c[a]) for a in sorted(self._c, key=grlex_key)]
+        unpack, nums, den = _frame(self.nvars, self.trunc).unpack, self._nums, self._den
+        return [(unpack(k), Fraction(nums[k], den)) for k in sorted(nums)]
 
     def support(self):
-        return sorted(self._c, key=grlex_key)
+        unpack = _frame(self.nvars, self.trunc).unpack
+        return [unpack(k) for k in sorted(self._nums)]
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._nums
 
     @property
     def constant_term(self) -> Fraction:
-        return self._c.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def is_unit(self) -> bool:
         """Nonzero constant term (invertible as a germ at the origin)."""
-        return self.constant_term != 0
+        return 0 in self._nums
 
     def __eq__(self, other):
         return (
             isinstance(other, Jet)
             and self.nvars == other.nvars
             and self.trunc == other.trunc
-            and self._c == other._c
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.trunc, frozenset(self._c.items())))
+        return hash((self.nvars, self.trunc, self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
         return f"Jet({self.nvars} vars, T={self.trunc}, {format_jet(self)})"
@@ -303,17 +346,18 @@ class Jet:
 
     def __add__(self, other: "Jet") -> "Jet":
         self._check_shape(other)
-        out = dict(self._c)
-        for a, c in other._c.items():
-            s = out.get(a, Fraction(0)) + c
-            if s == 0:
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return Jet._trusted(self.nvars, self.trunc, out)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        out = {k: v * fa for k, v in self._nums.items()}
+        get = out.get
+        for k, v in other._nums.items():
+            out[k] = get(k, 0) + v * fb
+        return Jet._packed(self.nvars, self.trunc, *_reduce(out, den))
 
     def __neg__(self) -> "Jet":
-        return Jet._trusted(self.nvars, self.trunc, {a: -c for a, c in self._c.items()})
+        return Jet._packed(
+            self.nvars, self.trunc, {k: -v for k, v in self._nums.items()}, self._den
+        )
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + (-other)
@@ -322,15 +366,15 @@ class Jet:
         r = _frac(r)
         if r == 0:
             return Jet.zero(self.nvars, self.trunc)
-        return Jet._trusted(self.nvars, self.trunc, {a: c * r for a, c in self._c.items()})
+        p = r.numerator
+        out = {k: v * p for k, v in self._nums.items()}
+        return Jet._packed(self.nvars, self.trunc, *_reduce(out, self._den * r.denominator))
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._check_shape(other)
-        frame = _frame(self.nvars, self.trunc)
-        a, da = frame.numerators(self._c)
-        b, db = frame.numerators(other._c)
-        out = _mul_numerators(a, b, frame.limit)
-        return Jet._trusted(self.nvars, self.trunc, frame.fractions(out, da * db))
+        limit = _frame(self.nvars, self.trunc).limit
+        out = _mul_numerators(self._nums, other._nums, limit)
+        return Jet._packed(self.nvars, self.trunc, *_reduce(out, self._den * other._den))
 
     def __pow__(self, e: int) -> "Jet":
         if not isinstance(e, int) or e < 0:
@@ -352,9 +396,14 @@ class Jet:
             )
         if trunc == self.trunc:
             return self
-        return Jet._trusted(
-            self.nvars, trunc, {a: c for a, c in self._c.items() if sum(a) <= trunc}
-        )
+        limit = (trunc + 1) * _frame(self.nvars, self.trunc).top
+        return self._lowered(trunc, {k: v for k, v in self._nums.items() if k < limit})
+
+    def _lowered(self, trunc: int, out: dict[int, int]) -> "Jet":
+        """The jet at truncation ``trunc`` (at most this jet's) of numerators
+        ``out`` over this jet's denominator, keyed in this jet's frame."""
+        out = _frame(self.nvars, self.trunc).rekey(out, _frame(self.nvars, trunc))
+        return Jet._packed(self.nvars, trunc, *_reduce(out, self._den))
 
     # -- calculus ----------------------------------------------------------
 
@@ -364,14 +413,14 @@ class Jet:
             raise ShapeError(f"variable index {i} out of range")
         if self.trunc < 1:
             raise TruncationError("cannot differentiate a jet of truncation 0")
+        frame = _frame(self.nvars, self.trunc)
+        off, m, w = frame.offsets[i], frame.mask, frame.weights[i]
         out = {}
-        for a, c in self._c.items():
-            if a[i] == 0:
-                continue
-            b = list(a)
-            b[i] -= 1
-            out[tuple(b)] = c * a[i]
-        return Jet._trusted(self.nvars, self.trunc - 1, out)
+        for k, v in self._nums.items():
+            e = (k >> off) & m
+            if e:
+                out[k - w] = v * e
+        return self._lowered(self.trunc - 1, out)
 
     def nth_partial(self, i: int, q: int) -> "Jet":
         f = self
@@ -381,37 +430,47 @@ class Jet:
 
     def order(self) -> OrderResult:
         """Order at the origin (lowest stored total degree)."""
-        if not self._c:
+        if not self._nums:
             return OrderResult.above_truncation()
-        return OrderResult.finite(min(sum(a) for a in self._c))
+        return OrderResult.finite(min(self._nums) // _frame(self.nvars, self.trunc).top)
 
     def order_along(self, indices) -> OrderResult:
         """Order along the coordinate subspace {x_i = 0, i in indices}."""
-        idx = sorted(set(indices))
-        if not self._c:
+        if not self._nums:
             return OrderResult.above_truncation()
-        return OrderResult.finite(min(sum(a[i] for i in idx) for a in self._c))
+        frame = _frame(self.nvars, self.trunc)
+        offs, m = [frame.offsets[i] for i in sorted(set(indices))], frame.mask
+        return OrderResult.finite(min(sum((k >> o) & m for o in offs) for k in self._nums))
 
     def eval_at(self, point) -> Fraction:
         point = [_frac(p) for p in point]
         if len(point) != self.nvars:
             raise ShapeError("point dimension mismatch")
+        unpack = _frame(self.nvars, self.trunc).unpack
         total = Fraction(0)
-        for a, c in self._c.items():
-            v = c
-            for p, e in zip(point, a):
+        for k, v in self._nums.items():
+            term = Fraction(v)
+            for p, e in zip(point, unpack(k)):
                 if e:
-                    v *= p**e
-            total += v
-        return total
+                    term *= p**e
+            total += term
+        return total / self._den
 
     def gradient_at_zero(self) -> tuple[Fraction, ...]:
-        grad = []
-        for i in range(self.nvars):
-            grad.append(self._c.get(_unit_vector(i, self.nvars), Fraction(0)))
-        return tuple(grad)
+        nums, den = self._nums, self._den
+        return tuple(
+            Fraction(nums.get(w, 0), den) for w in _frame(self.nvars, self.trunc).weights
+        )
 
     # -- division and factorization ----------------------------------------
+
+    def _divide_monomial(self, alpha: Multiindex) -> "Jet":
+        """Exact quotient by x^alpha, which divides every stored term; the
+        result is certified to T - |alpha|."""
+        step = _frame(self.nvars, self.trunc).pack(alpha)
+        return self._lowered(
+            self.trunc - sum(alpha), {k - step: v for k, v in self._nums.items()}
+        )
 
     def divide_by_coordinate(self, i: int) -> "Jet":
         """Exact division by x_i; requires the restriction to x_i = 0 to vanish."""
@@ -419,26 +478,26 @@ class Jet:
             raise ShapeError(f"variable index {i} out of range")
         if self.trunc < 1:
             raise TruncationError("cannot divide a jet of truncation 0")
-        out = {}
-        for a, c in self._c.items():
-            if a[i] == 0:
-                raise NotDivisibleError(
-                    f"not divisible by x{i}: witness monomial {a}", a
-                )
-            b = list(a)
-            b[i] -= 1
-            out[tuple(b)] = c
-        return Jet._trusted(self.nvars, self.trunc - 1, out)
+        frame = _frame(self.nvars, self.trunc)
+        off, m = frame.offsets[i], frame.mask
+        for k in self._nums:
+            if not (k >> off) & m:
+                a = frame.unpack(k)
+                raise NotDivisibleError(f"not divisible by x{i}: witness monomial {a}", a)
+        return self._divide_monomial(_unit_vector(i, self.nvars))
+
+    def _min_exponents(self) -> Multiindex:
+        frame = _frame(self.nvars, self.trunc)
+        m = frame.mask
+        return tuple(min((k >> off) & m for k in self._nums) for off in frame.offsets)
 
     def factor_coordinate_power(self, i: int) -> tuple[int, "Jet"]:
         """Largest e with x_i^e dividing this jet, and the exact quotient."""
         if self.is_zero():
             raise ValueError("factor_coordinate_power is undefined on the zero jet")
-        e = min(a[i] for a in self._c)
-        h = self
-        for _ in range(e):
-            h = h.divide_by_coordinate(i)
-        return e, h
+        e = self._min_exponents()[i]
+        alpha = tuple(e if j == i else 0 for j in range(self.nvars))
+        return e, self._divide_monomial(alpha)
 
     def monomial_unit_decompose(self):
         """Write the jet as x^alpha * u with u(0) != 0, if possible.
@@ -449,14 +508,11 @@ class Jet:
         """
         if self.is_zero():
             raise ValueError("monomial_unit_decompose is undefined on the zero jet")
-        alpha = tuple(min(a[i] for a in self._c) for i in range(self.nvars))
-        u = self
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                u = u.divide_by_coordinate(i)
-        if u.constant_term == 0:
+        alpha = self._min_exponents()
+        # u(0) is the coefficient of x^alpha
+        if _frame(self.nvars, self.trunc).pack(alpha) not in self._nums:
             return None
-        return alpha, u
+        return alpha, self._divide_monomial(alpha)
 
     # -- variable surgery ---------------------------------------------------
 
@@ -464,19 +520,25 @@ class Jet:
         """Set x_i = 0 and drop that variable from the frame."""
         if not 0 <= i < self.nvars:
             raise ShapeError(f"variable index {i} out of range")
+        frame = _frame(self.nvars, self.trunc)
+        off, m, s = frame.offsets[i], frame.mask, frame.shift
+        low = (1 << off) - 1
         out = {}
-        for a, c in self._c.items():
-            if a[i] != 0:
-                continue
-            out[a[:i] + a[i + 1 :]] = c
-        return Jet._trusted(self.nvars - 1, self.trunc, out)
+        for k, v in self._nums.items():
+            if not (k >> off) & m:
+                # drop digit i: the digits above it (and the degree) move down one
+                out[((k >> (off + s)) << off) | (k & low)] = v
+        return Jet._packed(self.nvars - 1, self.trunc, *_reduce(out, self._den))
 
     def insert_var(self, pos: int) -> "Jet":
         """Embed into one more variable, inserted at position ``pos``."""
         if not 0 <= pos <= self.nvars:
             raise ShapeError("insertion position out of range")
-        out = {a[:pos] + (0,) + a[pos:]: c for a, c in self._c.items()}
-        return Jet._trusted(self.nvars + 1, self.trunc, out)
+        frame = _frame(self.nvars, self.trunc)
+        off = frame.shift * (self.nvars - pos)
+        low = (1 << off) - 1
+        out = {((k >> off) << (off + frame.shift)) | (k & low): v for k, v in self._nums.items()}
+        return Jet._packed(self.nvars + 1, self.trunc, out, self._den)
 
     def recenter(self, point) -> "Jet":
         """Translate the frame: returns the jet of f(x + point).
@@ -487,25 +549,42 @@ class Jet:
         point = [_frac(p) for p in point]
         if len(point) != self.nvars:
             raise ShapeError("point dimension mismatch")
-        coeffs = dict(self._c)
+        frame = _frame(self.nvars, self.trunc)
+        nums, den = self._nums, self._den
         for i, p in enumerate(point):
             if p == 0:
                 continue
-            out: dict[Multiindex, Fraction] = {}
-            for a, c in coeffs.items():
-                e = a[i]
-                pw = Fraction(1)
-                for j in range(e, -1, -1):
-                    b = a[:i] + (j,) + a[i + 1 :]
-                    v = c * comb(e, j) * pw
-                    s = out.get(b, Fraction(0)) + v
-                    if s == 0:
-                        out.pop(b, None)
-                    else:
-                        out[b] = s
-                    pw *= p
-            coeffs = out
-        return Jet._trusted(self.nvars, self.trunc, coeffs)
+            off, m, w = frame.offsets[i], frame.mask, frame.weights[i]
+            top = max([(k >> off) & m for k in nums], default=0)
+            # (x_i + a/b)^e = sum_j C(e, j) a^j b^(top - j) x_i^(e - j) / b^top
+            a_pows = [p.numerator**j for j in range(top + 1)]
+            b_pows = [p.denominator**j for j in range(top + 1)]
+            out: dict[int, int] = {}
+            get = out.get
+            for k, v in nums.items():
+                e = (k >> off) & m
+                for j in range(e + 1):
+                    key = k - j * w
+                    out[key] = get(key, 0) + v * comb(e, j) * a_pows[j] * b_pows[top - j]
+            nums, den = out, den * b_pows[top]
+        return Jet._packed(self.nvars, self.trunc, *_reduce(nums, den))
+
+    def chart_pullback(self, i: int, others) -> "Jet":
+        """The jet of f after x_j -> x_i x_j for every j in ``others``: one
+        chart of a blow-up, at the same truncation.
+
+        The exponent map adds ``sum_{j in others} alpha_j`` to ``alpha_i``; it
+        is injective, so distinct terms stay distinct."""
+        frame = _frame(self.nvars, self.trunc)
+        if not all(0 <= j < self.nvars for j in (i, *others)):
+            raise ShapeError("chart index out of range")
+        offs, m, w, limit = [frame.offsets[j] for j in others], frame.mask, frame.weights[i], frame.limit
+        out = {}
+        for k, v in self._nums.items():
+            key = k + sum((k >> o) & m for o in offs) * w
+            if key < limit:
+                out[key] = v
+        return Jet._packed(self.nvars, self.trunc, *_reduce(out, self._den))
 
 
 def format_jet(jet: Jet, names=None) -> str:
@@ -617,14 +696,15 @@ class PolyMap:
     def from_matrix(cls, rows, trunc: int) -> "PolyMap":
         """The linear map whose component i is sum_k rows[i][k] x_k."""
         n = len(rows)
+        _check_frame(n, trunc)
+        weights = _frame(n, trunc).weights
         comps = []
         for row in rows:
             row = [_frac(a) for a in row]
-            _check_frame(n, trunc)
             if len(row) != n:
                 raise ShapeError("from_matrix needs a square matrix")
-            coeffs = {_unit_vector(k, n): a for k, a in enumerate(row) if a} if trunc else {}
-            comps.append(Jet._trusted(n, trunc, coeffs))
+            coeffs = {w: a for w, a in zip(weights, row) if a} if trunc else {}
+            comps.append(Jet._packed(n, trunc, *_common_den(coeffs)))
         return cls(comps)
 
     @property
@@ -683,6 +763,62 @@ def _jet_det(m) -> Jet:
     return total
 
 
+def _substitute_all(fs, g, base) -> list[Jet]:
+    """f(g_1, ..., g_p) for every f of ``fs`` (jets of one frame), as
+    :func:`substitute` describes; the powers of the g_i are built once and
+    shared by every f."""
+    comps = list(g.components) if isinstance(g, PolyMap) else list(g)
+    p = fs[0].nvars
+    if len(comps) != p:
+        raise ShapeError(
+            f"component-count mismatch: f has {p} variables, map has {len(comps)}"
+        )
+    n = comps[0].nvars
+    if any(c.nvars != n for c in comps):
+        raise ShapeError("map components disagree on variable count")
+    T = min([f.trunc for f in fs] + [c.trunc for c in comps])
+    comps = [c.with_truncation(T) for c in comps]
+    if base is not None:
+        base = [_frac(b) for b in base]
+        if len(base) != len(comps):
+            raise ShapeError("base point dimension does not match component count")
+        for b, c in zip(base, comps):
+            if c.constant_term != b:
+                raise ShapeError("base point does not match map value at the origin")
+    elif any(c.is_unit() for c in comps):
+        base = [c.constant_term for c in comps]
+    if base is not None and any(base):
+        fs = [f.recenter(base) for f in fs]
+    fs = [f.with_truncation(T) for f in fs]
+    unpack = _frame(p, T).unpack
+    limit = _frame(n, T).limit
+    # g_i - g_i(0) is g_i without its constant term, over g_i's denominator;
+    # the term v x^alpha of f then has denominator f.den * prod_i dens_i^alpha_i
+    dens = [c._den for c in comps]
+    # powers[i][k] = numerators of (g_i - g_i(0)) ** k for k >= 1, built on demand
+    powers = [[None, {k: v for k, v in c._nums.items() if k}] for c in comps]
+    out_jets = []
+    for f in fs:
+        terms = [(unpack(k), v) for k, v in f._nums.items()]
+        ds = [_prod(map(pow, dens, alpha)) for alpha, _ in terms]
+        den = lcm(*ds)
+        out: dict[int, int] = {}
+        get = out.get
+        for (alpha, v), d in zip(terms, ds):
+            prod = None
+            for i, e in enumerate(alpha):
+                if e:
+                    pw = powers[i]
+                    while len(pw) <= e:
+                        pw.append(_mul_numerators(pw[-1], pw[1], limit))
+                    prod = pw[e] if prod is None else _mul_numerators(prod, pw[e], limit)
+            scale = v * (den // d)
+            for key, w in prod.items() if prod is not None else [(0, 1)]:
+                out[key] = get(key, 0) + scale * w
+        out_jets.append(Jet._packed(n, T, *_reduce(out, f._den * den)))
+    return out_jets
+
+
 def substitute(f: Jet, g, base=None) -> Jet:
     """Truncated composite f(g_1, ..., g_p) with exact coefficients.
 
@@ -691,60 +827,12 @@ def substitute(f: Jet, g, base=None) -> Jet:
     is recentered at ``base`` before substitution.  The result is certified
     to the smallest truncation among the inputs.
     """
-    comps = list(g.components) if isinstance(g, PolyMap) else list(g)
-    if len(comps) != f.nvars:
-        raise ShapeError(
-            f"component-count mismatch: f has {f.nvars} variables, map has {len(comps)}"
-        )
-    n = comps[0].nvars
-    T = min([f.trunc] + [c.trunc for c in comps])
-    comps = [c.with_truncation(T) for c in comps]
-    if base is None:
-        base = [c.constant_term for c in comps]
-    else:
-        base = [_frac(b) for b in base]
-        if len(base) != len(comps):
-            raise ShapeError("base point dimension does not match component count")
-        for b, c in zip(base, comps):
-            if c.constant_term != b:
-                raise ShapeError("base point does not match map value at the origin")
-    if any(b != 0 for b in base):
-        f = f.recenter(base)
-    f = f.with_truncation(T)
-    frame = _frame(n, T)
-    limit = frame.limit
-    # packed numerators of the shifted components over their denominators;
-    # the term c x^alpha then has denominator c.den * prod_i dens_i^alpha_i
-    shifted = [
-        frame.numerators((c - Jet.constant(b, n, T) if b else c)._c)
-        for c, b in zip(comps, base)
-    ]
-    dens = [d for _, d in shifted]
-    terms = [
-        (alpha, c, c.denominator * _prod(map(pow, dens, alpha))) for alpha, c in f._c.items()
-    ]
-    den = lcm(*[d for _, _, d in terms])
-    # powers[i][k] = numerators of shifted_i ** k for k >= 1, built on demand
-    powers = [[None, h] for h, _ in shifted]
-    out: dict[int, int] = {}
-    get = out.get
-    for alpha, c, d in terms:
-        prod = None
-        for i, e in enumerate(alpha):
-            if e:
-                pw = powers[i]
-                while len(pw) <= e:
-                    pw.append(_mul_numerators(pw[-1], pw[1], limit))
-                prod = pw[e] if prod is None else _mul_numerators(prod, pw[e], limit)
-        scale = c.numerator * (den // d)
-        for key, v in prod.items() if prod is not None else [(0, 1)]:
-            out[key] = get(key, 0) + scale * v
-    return Jet._trusted(n, T, frame.fractions(out, den))
+    return _substitute_all([f], g, base)[0]
 
 
 def compose_maps(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """Map composition outer(inner(x)), component by component."""
-    return PolyMap([substitute(c, inner) for c in outer.components])
+    return PolyMap(_substitute_all(outer.components, inner, None))
 
 
 def linear_change(f: Jet, rows) -> Jet:
@@ -756,6 +844,14 @@ def linear_change(f: Jet, rows) -> Jet:
         raise PivotError("linear change requires an invertible matrix")
     # new variable k contributes column k: x_old_j = sum_k A[j][k] x_new_k
     return substitute(f, PolyMap.from_matrix(rows, f.trunc), base=[0] * n)
+
+
+def _degree_part(jet: Jet, k: int, frame: _Frame) -> dict[int, int]:
+    """Numerators (over ``jet._den``) of the degree-``k`` terms of ``jet``,
+    keyed in ``frame``, a frame of the same variable count."""
+    src = _frame(jet.nvars, jet.trunc)
+    low = k * src.top
+    return src.rekey({key: v for key, v in jet._nums.items() if key >= low}, frame)
 
 
 def implicit_solve(z: Jet, i: int) -> Jet:
@@ -772,22 +868,33 @@ def implicit_solve(z: Jet, i: int) -> Jet:
     """
     if not 0 <= i < z.nvars:
         raise ShapeError(f"variable index {i} out of range")
-    if z.constant_term != 0:
+    if z.is_unit():
         raise PivotError("implicit solve requires z(0) = 0")
-    c = z.coeff(_unit_vector(i, z.nvars))
-    if c == 0:
-        raise PivotError("implicit solve requires a nonzero pivot dz/dx_i(0)")
     n, T = z.nvars, z.trunc
+    pivot = z._nums.get(_frame(n, T).weights[i], 0)
+    if not pivot:
+        raise PivotError("implicit solve requires a nonzero pivot dz/dx_i(0)")
     m = n - 1
-    phi: dict[Multiindex, Fraction] = {}
+    frame = _frame(m, T)
+    # phi / phi_den, keyed in frame; round k adds its degree-k terms
+    phi: dict[int, int] = {}
+    phi_den = 1
     for k in range(1, T + 1):
+        fk = _frame(m, k)
         comps = [Jet.variable(j, m, k) for j in range(m)]
-        comps.insert(i, Jet._trusted(m, k, dict(phi)))
-        r = substitute(z.with_truncation(k), comps, base=[0] * n)
-        for a, v in r._c.items():
-            if sum(a) == k:
-                phi[a] = -v / c
-    return Jet._trusted(m, T, phi)
+        comps.insert(i, Jet._packed(m, k, frame.rekey(phi, fk), phi_den))
+        r = substitute(z.with_truncation(k), comps)
+        # phi_k = -(r_k / r.den) / (pivot / z.den) = (-z.den r_k) / (r.den pivot)
+        den, factor = r._den * pivot, -z._den
+        if den < 0:
+            den, factor = -den, -factor
+        new = _degree_part(r, k, frame)
+        common = lcm(phi_den, den)
+        fa, fb = common // phi_den, factor * (common // den)
+        merged = {key: v * fa for key, v in phi.items()}
+        merged.update((key, v * fb) for key, v in new.items())
+        phi, phi_den = _reduce(merged, common)
+    return Jet._packed(m, T, phi, phi_den)
 
 
 def invert_map(g: PolyMap) -> PolyMap:
@@ -812,16 +919,25 @@ def invert_map(g: PolyMap) -> PolyMap:
     Ainv = mat_inv(A)
     linear_part = PolyMap.from_matrix(A, T)
     tail = PolyMap([gc - lc for gc, lc in zip(g.components, linear_part.components)])
-    h = [dict(c._c) for c in PolyMap.from_matrix(Ainv, T).components]
+    frame = _frame(n, T)
+    # h as (numerators keyed in frame, denominator); round k adds degree k
+    h = [(c._nums, c._den) for c in PolyMap.from_matrix(Ainv, T).components]
     for k in range(2, T + 1):
-        hk = PolyMap([Jet._trusted(n, k, dict(d)) for d in h])
+        fk = _frame(n, k)
+        hk = PolyMap([Jet._packed(n, k, frame.rekey(d, fk), dd) for d, dd in h])
         corr = compose_maps(PolyMap([c.with_truncation(k) for c in tail.components]), hk)
-        tops = [[(a, v) for a, v in cc._c.items() if sum(a) == k] for cc in corr.components]
-        for row, d in zip(Ainv, h):
-            acc: dict[Multiindex, Fraction] = {}
-            for coef, top in zip(row, tops):
-                if coef:
-                    for a, v in top:
-                        acc[a] = acc.get(a, 0) - coef * v
-            d.update((a, v) for a, v in acc.items() if v)
-    return PolyMap([Jet._trusted(n, T, d) for d in h])
+        tops = [(_degree_part(cc, k, frame), cc._den) for cc in corr.components]
+        new_h = []
+        for row, (d, dd) in zip(Ainv, h):
+            # h_row gains -sum_j row[j] * tops[j]
+            used = [(c, top, c.denominator * tden) for c, (top, tden) in zip(row, tops) if c and top]
+            common = lcm(dd, *[td for _, _, td in used])
+            acc = {key: v * (common // dd) for key, v in d.items()}
+            get = acc.get
+            for c, top, td in used:
+                factor = -c.numerator * (common // td)
+                for key, v in top.items():
+                    acc[key] = get(key, 0) + factor * v
+            new_h.append(_reduce(acc, common))
+        h = new_h
+    return PolyMap([Jet._packed(n, T, d, dd) for d, dd in h])

@@ -12,16 +12,11 @@ from resolvkit.blowup import (
     LedgerEntry,
     MarkedFunction,
     ORIGIN_NEW,
-    center_order_consistency,
-    equimultiple_generators,
-    jacobian_determinant,
     check_derivative_transforms,
     normal_crossings_check,
     order_along_center,
-    strict_transform_hypersurface,
-    weak_transform,
 )
-from resolvkit.series import Jet, OrderResult, substitute
+from resolvkit.series import Jet, OrderResult, compose_maps, substitute
 
 
 T = 24
@@ -38,6 +33,11 @@ ORIGIN2 = Center((0, 1), 2)
 def oracle_pullback(f, chart):
     """Independent oracle: substitute the chart formulas via series code."""
     return substitute(f, chart.components(f.trunc))
+
+
+def strict_transform(f, chart):
+    """The exceptional power of the pullback and the strict transform."""
+    return chart.pullback(f).factor_coordinate_power(chart.exceptional_index)
 
 
 class TestPullback:
@@ -95,35 +95,28 @@ class TestOrderAlongCenter:
 class TestTransforms:
     def test_cusp_weak(self):
         chart = ChartMap(ORIGIN2, 0)
-        out = weak_transform(CUSP, chart, 2)
-        assert out == jet2({(0, 2): 1, (1, 0): -1}, trunc=22)
+        assert strict_transform(CUSP, chart) == (2, jet2({(0, 2): 1, (1, 0): -1}, trunc=22))
 
     def test_circle_unit_transform(self):
         g = jet2({(2, 0): 1, (0, 2): 1})
         chart = ChartMap(ORIGIN2, 0)
-        out = weak_transform(g, chart, 2)
-        assert out == jet2({(0, 0): 1, (0, 2): 1}, trunc=22)
+        assert strict_transform(g, chart) == (2, jet2({(0, 0): 1, (0, 2): 1}, trunc=22))
 
     def test_coordinate_through_center(self):
         g = Jet.variable(0, 2, T)
         chart = ChartMap(ORIGIN2, 0)
-        assert weak_transform(g, chart, 1) == Jet.constant(1, 2, T - 1)
-
-    def test_weak_transform_exponent_check(self):
-        chart = ChartMap(ORIGIN2, 0)
-        with pytest.raises(ValueError):
-            weak_transform(CUSP, chart, 3)
+        assert strict_transform(g, chart) == (1, Jet.constant(1, 2, T - 1))
 
     def test_strict_cusp_both_charts(self):
-        d, g1 = strict_transform_hypersurface(CUSP, ChartMap(ORIGIN2, 0))
+        d, g1 = strict_transform(CUSP, ChartMap(ORIGIN2, 0))
         assert d == 2 and g1 == jet2({(0, 2): 1, (1, 0): -1}, trunc=22)
-        d, g2 = strict_transform_hypersurface(CUSP, ChartMap(ORIGIN2, 1))
+        d, g2 = strict_transform(CUSP, ChartMap(ORIGIN2, 1))
         # x = u v, y = v: pullback v^2 - u^3 v^3 = v^2 (1 - u^3 v)
         assert d == 2 and g2 == jet2({(0, 0): 1, (3, 1): -1}, trunc=22)
 
     def test_strict_unit(self):
         g = jet2({(0, 0): 5, (1, 0): 1})
-        d, out = strict_transform_hypersurface(g, ChartMap(ORIGIN2, 0))
+        d, out = strict_transform(g, ChartMap(ORIGIN2, 0))
         assert d == 0 and out == ChartMap(ORIGIN2, 0).pullback(g)
 
     def test_maximal_power_matches_center_order(self):
@@ -137,79 +130,8 @@ class TestTransforms:
             if not mu.is_finite or mu.value < 1:
                 continue
             for i in (0, 1):
-                d, _ = strict_transform_hypersurface(f, ChartMap(ORIGIN2, i))
+                d, _ = strict_transform(f, ChartMap(ORIGIN2, i))
                 assert d == mu.value
-            done += 1
-
-
-class TestEquimultipleGenerators:
-    def test_cusp(self):
-        gens = equimultiple_generators(CUSP, 2)
-        # {g, dg/dx, dg/dy} = {y^2 - x^3, -3x^2, 2y}
-        assert len(gens) == 3
-        assert gens[0] == CUSP
-        assert gens[1] == jet2({(0, 1): 2}, trunc=23)
-        assert gens[2] == jet2({(2, 0): -3}, trunc=23)
-        # the common zero locus is the origin alone among small samples
-        for pt in [(1, 1), (1, 0), (0, 2), (-1, 1)]:
-            assert any(g.eval_at(pt) != 0 for g in gens)
-
-    def test_d_one(self):
-        gens = equimultiple_generators(CUSP, 1)
-        assert gens == [CUSP]
-
-    def test_product(self):
-        g = jet2({(1, 1): 1})
-        gens = equimultiple_generators(g, 2)
-        assert gens[0] == g
-        assert gens[1] == jet2({(1, 0): 1}, trunc=23)
-        assert gens[2] == jet2({(0, 1): 1}, trunc=23)
-
-
-class TestCenterOrderConsistency:
-    def test_monomial(self):
-        g = jet2({(2, 3): 1})
-        rep = center_order_consistency(g, Center((0,), 2), [(0, 1)])
-        assert rep.ok and rep.center_order == OrderResult.finite(2)
-
-    def test_pure_power(self):
-        g = jet2({(2, 0): 1})
-        rep = center_order_consistency(g, Center((0,), 2), [(0, 5)])
-        assert rep.ok
-
-    def test_special_point_higher_order(self):
-        g = jet2({(2, 0): 1, (2, 1): 1})  # x^2 (1 + y)
-        rep = center_order_consistency(g, Center((0,), 2), [(0, -1), (0, 2)])
-        assert rep.ok
-        assert rep.sample_orders[0] == OrderResult.finite(3)  # at y = -1
-        assert rep.sample_orders[1] == OrderResult.finite(2)
-        assert rep.achieved_at == 1
-
-    def test_off_center_sample_rejected(self):
-        with pytest.raises(ValueError):
-            center_order_consistency(CUSP, Center((0,), 2), [(1, 1)])
-
-    def test_random_consistency(self):
-        rng = random.Random(13)
-        pool = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3),
-                Fraction(-2), Fraction(5), Fraction(1, 3), Fraction(-3), Fraction(7)]
-        done = 0
-        while done < 20:
-            n = rng.randint(2, 3)
-            f = _random_jet(rng, n, 10, 4)
-            if f.is_zero():
-                continue
-            idx = tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1))))
-            center = Center(idx, n)
-            samples = []
-            for k in range(10):
-                pt = [Fraction(0)] * n
-                for j in range(n):
-                    if j not in idx:
-                        pt[j] = pool[(k + j) % len(pool)]
-                samples.append(pt)
-            rep = center_order_consistency(f, center, samples)
-            assert rep.ok
             done += 1
 
 
@@ -300,11 +222,19 @@ class TestNormalCrossings:
             chart = ChartMap(center, i)
             fam = []
             for h in hyps:
-                _, sh = strict_transform_hypersurface(h, chart)
+                _, sh = strict_transform(h, chart)
                 if sh.constant_term == 0:
                     fam.append(sh.with_truncation(T - 1))
             fam.append(Jet.variable(i, 3, T - 1))
             assert normal_crossings_check(fam).ok, i
+
+
+def jacobian_determinant(charts, trunc):
+    """Jacobian determinant of the composite of chart maps, first applied first."""
+    composite = charts[0].components(trunc)
+    for chart in charts[1:]:
+        composite = compose_maps(composite, chart.components(trunc))
+    return composite.jacobian_det()
 
 
 class TestJacobian:

@@ -6,16 +6,20 @@ one dense germ (whose drive runs ``implicit_solve`` on a dense jet), pin
 the terms of ``invert_map`` and ``inverse_majorant`` on fixed inputs, and
 pin a few ``compose_coefficient`` values on fixed tables; a
 change that alters the JSON on purpose (a new format) updates them in the
-same change and says why.
+same change and says why.  The output of ``resolvkit verify`` on each
+pinned tree is pinned too, since the verifier's replay is the path every
+correctness claim rests on.
 """
 
 import hashlib
+import io
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from resolvkit.carleman import GrowthSequence, inverse_majorant
+from resolvkit.cli import main
 from resolvkit.faa_di_bruno import compose_coefficient
 from resolvkit.parse import parse_many
 from resolvkit.resolve import (
@@ -36,37 +40,55 @@ GOLDEN = [
     pytest.param(
         "resolve", ["y^2 - x^3"], 24,
         "f5bd8d93244a37dd11016b87384f48831494b7e7400f10363a30daf0add61413",
+        "c3e260c536cfdf20b40bf6cace794b7b64ce6f82c5ce43ce464012812033d8df",
         id="resolve-cusp",
     ),
     pytest.param(
         "resolve", ["z^2 - x^5 - y^5"], 24,
         "793ebd9a151e2621ac214bb64bf16d2197d548826b7d15ad190396b370499aae",
+        "75fab3beb33b40423a32f4aa4de2f6fc21f83ca97ac40854236bf6a7df086db5",
         id="resolve-z2-x5-y5",
     ),
     pytest.param(
         "monomialize", ["y^2 - x^3"], 24,
         "e41c59095ca4e4ea0a3caf7f71d3771342d45b6191c6d69a54b69519fc9a45cb",
+        "1aac8bf5e19cf4ff4d903ed2b14e53865fe37b41da2dff16a2fb7650d906bf37",
         id="monomialize-cusp",
     ),
     pytest.param(
         "rectilinearize", ["x", "y", "x - y"], 24,
         "2002fd5ef8c2bbba6a6a97498f5fe67052a0eba8805d58a05bbd072a036cba30",
+        "946f9a28d31a913f737a02362ec123630905aa8365e723f7a3d33001ce92b9af",
         id="rectilinearize-three-lines",
     ),
     pytest.param(
         "resolve", ["(1 + 2*y - x^2)*(y^2-x^3)"], 26,
         "0da8a2ca37703484b8b61acbdb3a4459a066fc80b655a48541447354d0347c85",
+        "c3e260c536cfdf20b40bf6cace794b7b64ce6f82c5ce43ce464012812033d8df",
         id="resolve-dense-cusp-T26",
     ),
 ]
 
 
-@pytest.mark.parametrize("mode, exprs, trunc, digest", GOLDEN)
-def test_tree_json_digest(mode, exprs, trunc, digest):
+def _tree(mode, exprs, trunc):
     jets, names = parse_many(exprs, None, trunc)
     arg = jets if mode == "rectilinearize" else jets[0]
-    tree = RUNS[mode](arg, RunConfig(truncation=trunc), names)
+    return RUNS[mode](arg, RunConfig(truncation=trunc), names)
+
+
+@pytest.mark.parametrize("mode, exprs, trunc, digest, verify_digest", GOLDEN)
+def test_tree_json_digest(mode, exprs, trunc, digest, verify_digest):
+    tree = _tree(mode, exprs, trunc)
     assert hashlib.sha256(tree.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode, exprs, trunc, digest, verify_digest", GOLDEN)
+def test_verify_output_digest(mode, exprs, trunc, digest, verify_digest, tmp_path):
+    path = tmp_path / "tree.json"
+    path.write_text(_tree(mode, exprs, trunc).to_json())
+    out = io.StringIO()
+    assert main(["verify", str(path)], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == verify_digest
 
 
 def _terms_digest(jets):

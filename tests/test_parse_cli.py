@@ -5,9 +5,12 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import resolvkit
 from resolvkit.cli import main
 from resolvkit.parse import ParseError, parse_many, parse_polynomial
 from resolvkit.series import Jet
@@ -243,6 +246,31 @@ class TestCliRuns:
         with pytest.raises(SystemExit) as exc:
             run_cli(["resolve", "--help"])
         assert exc.value.code == 0
+
+    def test_repeated_main_matches_separate_runs(self, tmp_path):
+        """One process builds the parser once; a usage error must not leave
+        it unfit for the calls after it."""
+        tree = str(tmp_path / "cusp")
+        runs = [
+            ["resolve", "y^2-x^3", "--parallel"],
+            ["resolve", "y^2 - x^3", "--emit", "json", "--out", tree],
+            ["verify", tree + ".json"],
+            ["resolve", "y^2-x^3", "--truncation", "abc"],
+            ["verify", tree + ".json"],
+        ]
+        in_process = [run_cli(argv) for argv in runs]
+        src = os.path.dirname(os.path.dirname(resolvkit.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "RESOLVKIT_TRUNCATION"}
+        env["PYTHONPATH"] = src
+        separate = []
+        for argv in runs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "resolvkit.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            separate.append((proc.returncode, proc.stdout))
+        assert [code for code, _ in in_process] == [4, 0, 0, 4, 0]
+        assert in_process == separate
 
     def test_algorithm_error_exit_five(self):
         code, text = run_cli(["resolve", "z^3-x*y"])

@@ -1,11 +1,13 @@
 """Jet arithmetic: contracts, worked examples, and randomized ring laws."""
 
 from fractions import Fraction
+from math import comb
 import random
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from resolvkit.blowup import Center, ChartMap
 from resolvkit.series import (
     Jet,
     NotDivisibleError,
@@ -344,6 +346,13 @@ class TestMiscViews:
         f = jet2({(1, 1): 2, (0, 0): -1})
         assert f.eval_at([Fraction(1, 2), 3]) == 2
 
+    def test_coeff_checks_its_exponent(self):
+        f = Jet(2, 4, {(1, 0): 3})
+        assert f.coeff((1, 0)) == 3 and f.coeff([0, 1]) == 0 and f.coeff((5, 0)) == 0
+        for bad in [(1,), (1, -1), (1, 0, 0)]:
+            with pytest.raises(ShapeError):
+                f.coeff(bad)
+
     def test_matrix_helpers(self):
         assert mat_det([[1, 2], [3, 4]]) == -2
         assert mat_inv([[2, 0], [0, 4]]) == [
@@ -389,8 +398,8 @@ def jet_tuples(k, **kwargs):
 def naive_mul(a, b):
     """Reference product: one Fraction multiply and add per pair of terms."""
     out = {}
-    for ea, ca in a._c.items():
-        for eb, cb in b._c.items():
+    for ea, ca in a.terms():
+        for eb, cb in b.terms():
             e = tuple(x + y for x, y in zip(ea, eb))
             if sum(e) <= a.trunc:
                 out[e] = out.get(e, Fraction(0)) + ca * cb
@@ -401,7 +410,7 @@ def naive_substitute(f, comps):
     """Reference composite: sum of c * prod g_i^alpha_i, products by naive_mul."""
     n, T = comps[0].nvars, comps[0].trunc
     total = Jet.zero(n, T)
-    for alpha, c in f._c.items():
+    for alpha, c in f.terms():
         term = Jet.constant(c, n, T)
         for g, e in zip(comps, alpha):
             for _ in range(e):
@@ -410,10 +419,26 @@ def naive_substitute(f, comps):
     return total
 
 
+def naive_recenter(f, point):
+    """Reference f(x + point): expand every (x_j + p_j)^e by the binomial theorem."""
+    out = {}
+    for alpha, c in f.terms():
+        parts = [((), c)]
+        for p, e in zip(point, alpha):
+            parts = [
+                (b + (k,), v * comb(e, k) * Fraction(p) ** (e - k))
+                for b, v in parts
+                for k in range(e + 1)
+            ]
+        for b, v in parts:
+            out[b] = out.get(b, Fraction(0)) + v
+    return Jet(f.nvars, f.trunc, out)
+
+
 def assert_clean(r):
     """r holds exactly what the validating constructor would make of it."""
-    assert r == Jet(r.nvars, r.trunc, r._c)
-    assert all(type(a) is tuple and type(c) is Fraction for a, c in r._c.items())
+    assert r == Jet(r.nvars, r.trunc, r.terms())
+    assert all(type(a) is tuple and type(c) is Fraction for a, c in r.terms())
 
 
 class TestKernelProperties:
@@ -483,7 +508,7 @@ class TestKernelProperties:
         if p >= 2:
             # f and f with x_0, x_1 swapped agree on (m_0, m_0, ...): every
             # term of their difference cancels inside substitute
-            swapped = Jet(p, T, {(a[1], a[0]) + a[2:]: c for a, c in f._c.items()})
+            swapped = Jet(p, T, {(a[1], a[0]) + a[2:]: c for a, c in f.terms()})
             r = substitute(f - swapped, [m[0]] * p)
             assert_clean(r)
             assert r.is_zero()
@@ -510,7 +535,7 @@ class TestKernelProperties:
         assume(mat_det(rows) != 0)
         highs = data.draw(st.lists(jets((n, T), max_terms=4), min_size=n, max_size=n))
         g = PolyMap([
-            lc + Jet(n, T, {a: c for a, c in hc._c.items() if sum(a) >= 2})
+            lc + Jet(n, T, {a: c for a, c in hc.terms() if sum(a) >= 2})
             for lc, hc in zip(PolyMap.from_matrix(rows, T).components, highs)
         ])
         h = invert_map(g)
@@ -526,6 +551,91 @@ class TestKernelProperties:
         assert_clean(r)
         assert r.is_zero()
 
+    @SETTINGS
+    @given(jet_tuples(2), RATIONALS, st.data())
+    def test_linear_operations_match_naive_fractions(self, ab, scalar, data):
+        a, b = ab
+        n, T = a.nvars, a.trunc
+        ta, tb = dict(a.terms()), dict(b.terms())
+        keys = set(ta) | set(tb)
+        zero = Fraction(0)
+        assert a + b == Jet(n, T, {k: ta.get(k, zero) + tb.get(k, zero) for k in keys})
+        assert a - b == Jet(n, T, {k: ta.get(k, zero) - tb.get(k, zero) for k in keys})
+        assert a.scale(scalar) == Jet(n, T, {k: c * scalar for k, c in ta.items()})
+        t = data.draw(st.integers(0, T))
+        assert a.with_truncation(t) == Jet(n, t, {k: c for k, c in ta.items() if sum(k) <= t})
+
+    @SETTINGS
+    @given(shapes().filter(lambda s: s[1] >= 1).flatmap(jets), st.data())
+    def test_calculus_matches_naive_fractions(self, a, data):
+        n, T = a.nvars, a.trunc
+        i = data.draw(st.integers(0, n - 1))
+        down = lambda k: k[:i] + (k[i] - 1,) + k[i + 1:]  # noqa: E731
+        assert a.partial(i) == Jet(n, T - 1, {down(k): c * k[i] for k, c in a.terms() if k[i]})
+        xa = Jet.variable(i, n, T) * a
+        assert xa.divide_by_coordinate(i) == Jet(n, T - 1, {down(k): c for k, c in xa.terms()})
+        if any(k[i] == 0 for k in a.support()):
+            with pytest.raises(NotDivisibleError):
+                a.divide_by_coordinate(i)
+
+    @SETTINGS
+    @given(shapes().flatmap(jets), st.data())
+    def test_frame_changes_match_naive_fractions(self, a, data):
+        n, T = a.nvars, a.trunc
+        i = data.draw(st.integers(0, n - 1))
+        assert a.restrict_set_zero(i) == Jet(
+            n - 1, T, {k[:i] + k[i + 1:]: c for k, c in a.terms() if k[i] == 0}
+        )
+        pos = data.draw(st.integers(0, n))
+        assert a.insert_var(pos) == Jet(n + 1, T, {k[:pos] + (0,) + k[pos:]: c for k, c in a.terms()})
+        point = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        assert a.recenter(point) == naive_recenter(a, point)
+
+    @SETTINGS
+    @given(shapes().filter(lambda s: s[0] >= 2).flatmap(jets), st.data())
+    def test_chart_pullback_matches_naive_fractions(self, a, data):
+        n, T = a.nvars, a.trunc
+        indices = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        i = data.draw(st.sampled_from(sorted(indices)))
+        others = [j for j in indices if j != i]
+        want = {}
+        for k, c in a.terms():
+            beta = list(k)
+            beta[i] += sum(k[j] for j in others)
+            want[tuple(beta)] = c
+        assert ChartMap(Center(tuple(indices), n), i).pullback(a) == Jet(n, T, want)
+
+    @SETTINGS
+    @given(jet_tuples(2), NONZERO)
+    def test_equal_jets_hash_equal(self, ab, r):
+        a, b = ab
+        one = Jet.constant(1, a.nvars, a.trunc)
+        for same in [(a + b) - b, a * one, a.scale(r).scale(1 / r), -(-a), Jet(a.nvars, a.trunc, a.terms())]:
+            assert same == a and hash(same) == hash(a)
+
+    def test_truncations_beyond_one_key_width(self):
+        """Exponent digits widen above truncation 63: operations that lower
+        the truncation across that width, and the solvers, still agree."""
+        for T in (63, 64, 65, 70, 128):
+            f = Jet(2, T, {(T - 1, 0): Fraction(1, 3), (1, T - 2): -2, (0, 1): 5, (T // 2, 0): 1})
+            d = f.partial(0)
+            assert d == Jet(2, T - 1, {(T - 2, 0): Fraction(T - 1, 3), (0, T - 2): -2, (T // 2 - 1, 0): T // 2})
+            assert f.with_truncation(T - 2) == Jet(2, T - 2, {(0, 1): 5, (T // 2, 0): 1})
+            x = Jet.variable(0, 2, T)
+            assert (x * f).divide_by_coordinate(0) == f.with_truncation(T - 1)
+            assert (x**3 * f).factor_coordinate_power(0) == (3, f.with_truncation(T - 3))
+            assert (x * x).monomial_unit_decompose() == ((2, 0), Jet.constant(1, 2, T - 2))
+            assert f.terms() == sorted(f.terms(), key=lambda t: (sum(t[0]), t[0]))
+        T = 70
+        z = Jet(2, T, {(0, 1): 1, (1, 0): -1, (2, 0): -1})  # y = x + x^2
+        phi = implicit_solve(z, 1)
+        assert phi == Jet(1, T, {(1,): 1, (2,): 1})
+        g = PolyMap([Jet(1, T, {(1,): 1, (2,): 1})])
+        h = invert_map(g)
+        assert compose_maps(g, h) == PolyMap.identity(1, T)
+        # the inverse of x + x^2 has coefficients (-1)^(k-1) C_(k-1) (Catalan)
+        assert h[0].coeff((66,)) == -(comb(130, 65) // 66)
+
     def test_public_constructor_still_validates(self):
         with pytest.raises(ShapeError):
             Jet(2, 4, {(1,): 1})
@@ -533,4 +643,4 @@ class TestKernelProperties:
             Jet(2, 4, {(1, -1): 1})
         with pytest.raises(TypeError):
             Jet(2, 4, {(1, 0): 0.5})
-        assert Jet(2, 2, {(1, 0): 1, (2, 1): 5, (0, 1): 0})._c == {(1, 0): Fraction(1)}
+        assert Jet(2, 2, {(1, 0): 1, (2, 1): 5, (0, 1): 0}).terms() == [((1, 0), Fraction(1))]
