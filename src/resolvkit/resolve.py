@@ -18,10 +18,10 @@ chart formulas alone, without reusing any driver state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
+from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from .blowup import (
@@ -426,8 +426,25 @@ class ResolutionTree:
         n = self.input_jets[0].nvars
 
         def compose(composed, node):
-            step = _node_step_map(node, n, composed.trunc)
-            return composed if step is None else compose_maps(composed, step)
+            # A chart is a monomial map, so it composes here as a key shift
+            # (ChartMap.pullback) and a base point as a recentering.
+            # verify_resolution composes its steps through the general
+            # substitute (_node_step_map) on purpose: it builds the strict
+            # transform by ChartMap.pullback, so its total-transform check
+            # cross-checks the pullback against substitute.
+            if node.kind == KIND_COVERING:
+                base = node.base_point
+                if not any(base or ()):
+                    return composed
+                return PolyMap([c.recenter(base) for c in composed.components])
+            if node.kind == KIND_LEAF:
+                return composed
+            if node.prep is not None and not node.prep.is_trivial:
+                composed = compose_maps(composed, node.prep.as_map(n, composed.trunc))
+            if node.center is not None:
+                chart = ChartMap(Center(tuple(node.center), n), node.chart_index)
+                composed = PolyMap([chart.pullback(c) for c in composed.components])
+            return composed
 
         start = PolyMap.identity(n, self.input_jets[0].trunc)
         composed_maps = {
@@ -462,7 +479,13 @@ class ResolutionTree:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+        """The tree JSON of format ``/1``: exactly the text of
+        ``json.dumps(self.to_json_dict(), sort_keys=True, indent=1)``, with
+        sorted keys, one space of indent a level and non-ASCII characters
+        escaped, so that a tree's bytes are a stable digest."""
+        out = []
+        _write_json(self.to_json_dict(), "", out)
+        return "".join(out)
 
     def to_dot(self) -> str:
         lines = ["digraph resolution {", "  node [shape=box, fontsize=10];"]
@@ -490,12 +513,57 @@ class ResolutionTree:
         return "\n".join(lines) + "\n"
 
 
+def _write_json(value, pad: str, out: list) -> None:
+    """Append to ``out`` the text that ``json.dumps(value, sort_keys=True,
+    indent=1)`` writes for ``value`` nested at the indent ``pad``.
+
+    Only the types tree JSON holds are written: dicts with ``str`` keys,
+    lists, strings, ints, booleans and None.  Anything else, such as a float
+    or a non-``str`` key, raises TypeError."""
+    if isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + " "
+        sep = ",\n" + inner
+        if type(value[0]) is int and all(type(v) is int for v in value):  # exponents
+            out.append(f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]")
+            return
+        lead = "[\n" + inner
+        for v in value:
+            out.append(lead)
+            _write_json(v, inner, out)
+            lead = sep
+        out.append(f"\n{pad}]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + " "
+        lead = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"tree JSON keys are strings, not {type(key).__name__}")
+            out.append(f"{lead}{encode_basestring_ascii(key)}: ")
+            _write_json(value[key], inner, out)
+            lead = ",\n" + inner
+        out.append(f"\n{pad}}}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"tree JSON cannot hold a {type(value).__name__}")
+
+
 def _jet_json(j: Jet) -> dict:
-    return {
-        "nvars": j.nvars,
-        "trunc": j.trunc,
-        "terms": [[list(a), str(c)] for a, c in j.terms()],
-    }
+    return {"nvars": j.nvars, "trunc": j.trunc, "terms": j.json_terms()}
 
 
 def _jet_from_json(d, where: str) -> Jet:

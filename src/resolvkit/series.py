@@ -302,6 +302,19 @@ class Jet:
         unpack, nums, den = _frame(self.nvars, self.trunc).unpack, self._nums, self._den
         return [(unpack(k), Fraction(nums[k], den)) for k in sorted(nums)]
 
+    def json_terms(self) -> list:
+        """The stored terms as ``[exponents, coefficient]`` pairs in graded-lex
+        order: the exponents a list of ints, the coefficient the string
+        ``str(Fraction)`` writes ("p/q", or "p" for an integer), built from
+        the numerator without a Fraction."""
+        unpack, nums, den = _frame(self.nvars, self.trunc).unpack, self._nums, self._den
+        out = []
+        for k in sorted(nums):
+            v = nums[k]
+            g = gcd(v, den)
+            out.append([list(unpack(k)), str(v // g) if g == den else f"{v // g}/{den // g}"])
+        return out
+
     def support(self):
         unpack = _frame(self.nvars, self.trunc).unpack
         return [unpack(k) for k in sorted(self._nums)]
@@ -874,6 +887,11 @@ def implicit_solve(z: Jet, i: int) -> Jet:
     pivot = z._nums.get(_frame(n, T).weights[i], 0)
     if not pivot:
         raise PivotError("implicit solve requires a nonzero pivot dz/dx_i(0)")
+    rest = z.restrict_set_zero(i)
+    if rest.is_zero():
+        # phi = 0 solves z(x', phi) = 0 to degree T, and the pivot makes the
+        # solution unique
+        return rest
     m = n - 1
     frame = _frame(m, T)
     # phi / phi_den, keyed in frame; round k adds its degree-k terms

@@ -2,7 +2,8 @@
 
 Every speed-up of the kernel or the driver must leave ``to_json()`` byte for
 byte as it was.  These SHA-256 digests pin it for a few bundled inputs and
-one dense germ (whose drive runs ``implicit_solve`` on a dense jet), pin
+one dense germ (whose drive runs ``implicit_solve`` on a dense jet) and
+two runs with base points off the origin, pin
 the terms of ``invert_map`` and ``inverse_majorant`` on fixed inputs, and
 pin a few ``compose_coefficient`` values on fixed tables; a
 change that alters the JSON on purpose (a new format) updates them in the
@@ -88,6 +89,36 @@ def test_verify_output_digest(mode, exprs, trunc, digest, verify_digest, tmp_pat
     path.write_text(_tree(mode, exprs, trunc).to_json())
     out = io.StringIO()
     assert main(["verify", str(path)], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == verify_digest
+
+
+# Trees with a covering piece off the origin, made through the CLI's
+# --base-points; the digest is of the file that --out writes.
+BASE_POINT_GOLDEN = [
+    pytest.param(
+        ["resolve", "(y-1)^2-x^3", "--vars", "x,y", "--base-points", "0,0;0,1"],
+        "ab333e87618fb3083edaa5090c230a386d9c3a539223a9e74a441c592bb7e054",
+        "86298bd8d602655540f6f2bdfbd54f8a77e394a1634af77c3bb7770bbf8e002a",
+        id="resolve-two-base-points",
+    ),
+    pytest.param(
+        ["rectilinearize", "y^2-x^3", "y - 1 + x", "--vars", "x,y",
+         "--base-points", "0,0;0,1;1,0"],
+        "d7a8be81aa6b7a0cd87fffe294ca6add4ac17863bd5f9447948387250c22c07e",
+        "0f1be8396847af988a6860a793fc55deae091cdf2eaf9de1b35da31853905dae",
+        id="rectilinearize-three-base-points",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest, verify_digest", BASE_POINT_GOLDEN)
+def test_base_point_digests(argv, digest, verify_digest, tmp_path):
+    prefix = str(tmp_path / "tree")
+    assert main(argv + ["--emit", "json", "--out", prefix], out=io.StringIO()) == 0
+    text = (tmp_path / "tree.json").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    out = io.StringIO()
+    assert main(["verify", prefix + ".json"], out=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == verify_digest
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import json
 import random
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from resolvkit.blowup import (
@@ -27,7 +28,7 @@ from resolvkit.resolve import (
     tree_from_json_dict,
     verify_resolution,
 )
-from resolvkit.resolve import _model
+from resolvkit.resolve import _model, _write_json
 from resolvkit.series import Jet
 
 
@@ -317,6 +318,51 @@ class TestDeterminismAndJson:
         dot = resolve_hypersurface(CUSP).to_dot()
         assert dot.startswith("digraph")
         assert "palegreen" in dot
+
+
+# strings with quotes, backslashes, control, non-ASCII and astral characters,
+# and a lone surrogate
+JSON_STRINGS = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", "a\"b\\c", "\x00\x1f\x7f", "\n\t", "\u00e9", "\u2028", "\ud800", "\U0001f600"]
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-(10**40), 10**40 + 1, 2**63, -1, 0])
+    | JSON_STRINGS
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers(-3, 40), max_size=4)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _written(value) -> str:
+    out = []
+    _write_json(value, "", out)
+    return "".join(out)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(JSON_VALUES)
+    @example([True, 1, False, 0, None])
+    @example({"b": [[], {}], "a": {"": [[[]]]}, "\u00e9": True})
+    @example([[1, 2], [True, 2], [-(10**30)]])
+    def test_matches_json_dumps(self, value):
+        assert _written(value) == json.dumps(value, sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, [0.0], {"a": float("nan")}, {1: "a"}, {None: 1}, {"a": {2: 0}}, Fraction(1, 2), (1, 2)],
+    )
+    def test_rejects_what_tree_json_does_not_hold(self, value):
+        with pytest.raises(TypeError):
+            _written(value)
 
 
 class TestVerifyCatchesTruncatedTree:

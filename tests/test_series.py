@@ -184,6 +184,11 @@ class TestImplicitSolve:
         z = jet2({(0, 1): 1})
         assert implicit_solve(z, 1).is_zero()
 
+    def test_zero_solution_with_higher_terms(self):
+        # y + x y + y^3 vanishes on y = 0, whatever its terms of higher degree
+        z = jet2({(0, 1): 1, (1, 1): 1, (0, 3): 1})
+        assert implicit_solve(z, 1) == Jet.zero(1, 24)
+
     def test_round_trip(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -199,6 +204,8 @@ class TestImplicitSolve:
             implicit_solve(jet2({(0, 0): 1, (0, 1): 1}), 1)
         with pytest.raises(PivotError):
             implicit_solve(jet2({(0, 2): 1}), 1)
+        with pytest.raises(PivotError):
+            implicit_solve(jet2({(0, 2): 1, (1, 2): 1}), 1)  # y^2 + x y^2
 
 
 class TestInvertMap:
