@@ -43,7 +43,6 @@ from .series import (
     compose_maps,
     default_names,
     implicit_solve,
-    linear_change,
     mat_det,
     substitute,
 )
@@ -165,7 +164,11 @@ def _model(g: Jet, ledger: ExceptionalLedger, prepared=False) -> LocalModel:
 @dataclass(frozen=True)
 class Preparation:
     """Coordinate work preceding a phase: optional linear change, then a shear
-    of the last variable by a series in the others."""
+    of the last variable by a series in the others.
+
+    ``as_map`` is the one definition of its action; the driver, the
+    verifier's replay and the tree writer all apply a preparation through
+    that map."""
 
     matrix: tuple | None
     shear: Jet | None  # jet in the first n-1 variables
@@ -182,27 +185,36 @@ class Preparation:
             comps[n - 1] = comps[n - 1] + self.shear.with_truncation(t).insert_var(n - 1)
         if self.matrix is not None:
             lin = PolyMap.from_matrix(self.matrix, t)
+            if self.shear is None:
+                return lin
             comps = [substitute(l, comps) for l in lin.components]
         return PolyMap(comps)
 
 
-def _apply_prep(jet: Jet, prep: Preparation) -> Jet:
-    if prep.matrix is not None:
-        jet = linear_change(jet, prep.matrix)
-    if prep.shear is not None:
-        n = jet.nvars
-        phi = prep.shear.insert_var(n - 1)
-        t = min(jet.trunc, phi.trunc)
-        comps = [Jet.variable(j, n, t) for j in range(n - 1)]
-        comps.append(Jet.variable(n - 1, n, t) + phi.with_truncation(t))
-        jet = substitute(jet, comps)
-    return jet
+def _apply_prep(g: Jet, ledger: ExceptionalLedger, prep: Preparation):
+    """g and the ledger's jets in the prepared coordinates, through one map
+    built at the largest of their truncations, so that each result keeps
+    min(jet.trunc, shear.trunc)."""
+    step = prep.as_map(g.nvars, max([g.trunc] + [e.jet.trunc for e in ledger]))
+    return substitute(g, step), ledger.map_jets(lambda jet: substitute(jet, step))
 
 
 def _apply_prep_model(model: LocalModel, prep: Preparation) -> LocalModel:
-    g = _apply_prep(model.g, prep)
-    ledger = model.ledger.map_jets(lambda jet: _apply_prep(jet, prep))
-    return _model(g, ledger, prepared=True)
+    return _model(*_apply_prep(model.g, model.ledger, prep), prepared=True)
+
+
+def _shear_to_contact(model: LocalModel, matrix, d: int):
+    """Apply the linear change ``matrix`` (if any), then shear the last
+    variable so that the (d-1)-th pure derivative in it vanishes exactly on
+    {x_n = 0}.  Returns the model and the whole preparation."""
+    n = model.nvars
+    if matrix is not None:
+        model = _apply_prep_model(model, Preparation(matrix, None))
+    phi = implicit_solve(model.g.nth_partial(n - 1, d - 1), n - 1)
+    shear = None if phi.is_zero() else phi
+    if shear is not None:
+        model = _apply_prep_model(model, Preparation(None, shear))
+    return model, Preparation(matrix, shear)
 
 
 def _direction_candidates(n: int, cap: int):
@@ -269,25 +281,13 @@ def prepare_local_model(g: Jet, ledger: ExceptionalLedger, d: int | None = None)
             break
     if direction is None:
         raise AlgorithmError("no direction found for a nonzero form")
-    matrix = None
-    if direction != tuple(1 if j == n - 1 else 0 for j in range(n)):
-        matrix = _complete_basis(direction, n)
-        step = Preparation(matrix, None)
-        g = _apply_prep(g, step)
-        ledger = ledger.map_jets(lambda jet: _apply_prep(jet, step))
-    z = g.nth_partial(n - 1, d - 1)
-    phi = implicit_solve(z, n - 1)
-    shear = None
-    if not phi.is_zero():
-        shear = phi
-        step = Preparation(None, shear)
-        g = _apply_prep(g, step)
-        ledger = ledger.map_jets(lambda jet: _apply_prep(jet, step))
-    z2 = g.nth_partial(n - 1, d - 1)
-    u = z2.divide_by_coordinate(n - 1)
+    # no linear change when the direction is the last axis
+    matrix = _complete_basis(direction, n) if any(direction[:-1]) else None
+    model, prep = _shear_to_contact(_model(g, ledger), matrix, d)
+    u = model.g.nth_partial(n - 1, d - 1).divide_by_coordinate(n - 1)
     if u.constant_term == 0:
         raise AlgorithmError("contact normalization failed to produce a unit")
-    return _model(g, ledger, prepared=True), Preparation(matrix, shear)
+    return replace(model, prepared=True), prep
 
 
 def coefficient_data(model: LocalModel, d: int | None = None):
@@ -303,7 +303,8 @@ def coefficient_data(model: LocalModel, d: int | None = None):
     n = model.nvars
     cs = {}
     for q in range(0, max(0, d - 1)):
-        jet = model.g.nth_partial(n - 1, q).restrict_set_zero(n - 1)
+        f = model.g if q == 0 else f.partial(n - 1)
+        jet = f.restrict_set_zero(n - 1)
         cs[q] = None if jet.is_zero() else MarkedFunction(jet, d - q)
     bs = {}
     for entry in model.ledger.through_origin():
@@ -678,8 +679,9 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
     Raises ValueError, naming the key or node id, on a wrong format, an
     unknown mode, a missing key, a value of the wrong type, a duplicate node
     id, a parent that does not precede its child, input jets in different
-    frames, or a base point of another length.  Jets are read through the
-    validating ``Jet(...)``.
+    frames, a base point of another length, a prep matrix that is not square
+    of the frame's size or is singular, or a shear not in one variable fewer.
+    Jets are read through the validating ``Jet(...)``.
     """
     _require(data, _TREE_KEYS, "the tree")
     if data["format"] != TREE_FORMAT:
@@ -722,10 +724,15 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
         prep = None
         if nd["prep"] is not None:
             _require(nd["prep"], ("matrix", "shear"), f"the prep of {where}")
-            prep = Preparation(
-                _opt(nd["prep"]["matrix"], _matrix, f"the matrix of {where}"),
-                _opt(nd["prep"]["shear"], _jet_from_json, f"the shear of {where}"),
-            )
+            matrix = _opt(nd["prep"]["matrix"], _matrix, f"the matrix of {where}")
+            if matrix is not None and (len(matrix) != n or any(len(r) != n for r in matrix)):
+                raise ValueError(f"tree JSON: the prep matrix of {where} is not {n}x{n}")
+            if matrix is not None and mat_det(matrix) == 0:
+                raise ValueError(f"tree JSON: the prep matrix of {where} is singular")
+            shear = _opt(nd["prep"]["shear"], _jet_from_json, f"the shear of {where}")
+            if shear is not None and shear.nvars != n - 1:
+                raise ValueError(f"tree JSON: the shear of {where} is not in {n - 1} variables")
+            prep = Preparation(matrix, shear)
         leaf = nd["leaf_checks"]
         if leaf is not None:
             _require(leaf, ("strict_transform", "ledger"), f"the leaf checks of {where}")
@@ -888,9 +895,10 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
         d_front = 1
         front = next(e.jet for e in model.ledger if e.eid == front_entry)
         _check_trunc(front, 3)
-        pm, prep = prepare_local_model(front, model.ledger, 1)
-        g2 = model.g if prep.is_trivial else _apply_prep(model.g, prep)
-        prepped = _model(g2, pm.ledger, prepared=True)
+        _, prep = prepare_local_model(front, ExceptionalLedger(), 1)
+        prepped = replace(model, prepared=True)
+        if not prep.is_trivial:
+            prepped = _apply_prep_model(model, prep)
     scale = factorial(d_front) if front_entry is None else 1
     assumptions = []
     cs, bs = coefficient_data(prepped, d_front)
@@ -922,7 +930,7 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
     )
     if not active_c and not active_b:
         return _finish_phase_no_data(prepped, prep, phase, ctx, depth, assumptions)
-    data = _collect_data(prepped, phase)
+    data = _active_data(cs, bs, phase)
     if _all_monomial_comparable(data):
         omegas = _omega_of(data, phase)
         return _monomial_loop(prepped, prep, phase, omegas, ctx, depth, assumptions)
@@ -938,24 +946,24 @@ def _check_trunc(g: Jet, need: int):
 
 def _collect_data(prepped: LocalModel, phase: _PhaseState):
     """Re-derive the active marked data from the current model (ground truth)."""
-    n = prepped.nvars
     d = phase.d if phase.front_entry is None else 1
+    return _active_data(*coefficient_data(prepped, d), phase)
+
+
+def _active_data(cs, bs, phase: _PhaseState):
+    """The phase's data among ``cs, bs``: the contact coefficients active at
+    its start, and its old exceptionals not tangent to {x_n = 0} (a tangent
+    one is left to the contact blow-up at the end)."""
     data = {}
     for q in phase.c_keys:
-        jet = prepped.g.nth_partial(n - 1, q).restrict_set_zero(n - 1)
-        if jet.is_zero():
+        if cs[q] is None:
             raise AlgorithmError(
                 "a contact coefficient vanished mid-phase; certified degrees exhausted"
             )
-        data[("c", q)] = MarkedFunction(jet, d - q)
-    through = {e.eid: e for e in prepped.ledger.through_origin()}
+        data[("c", q)] = cs[q]
     for eid in phase.old_ids:
-        if eid not in through or eid == phase.front_entry:
-            continue
-        jet = through[eid].jet.restrict_set_zero(n - 1)
-        if jet.is_zero():
-            continue  # tangent entry: handled by the contact blow-up at the end
-        data[("b", eid)] = MarkedFunction(jet, 1)
+        if bs.get(eid) is not None:
+            data[("b", eid)] = bs[eid]
     return data
 
 
@@ -1326,22 +1334,12 @@ def _absorb_in_drafts(children, ctx: _Ctx):
         pivot = rep.assignments[-1][1]
         n = model.nvars
         matrix = None
-        if pivot != n - 1:
-            rows = []
-            for r in range(n):
-                row = [Fraction(0)] * n
-                if r == pivot:
-                    row[n - 1] = Fraction(1)
-                elif r == n - 1:
-                    row[pivot] = Fraction(1)
-                else:
-                    row[r] = Fraction(1)
-                rows.append(tuple(row))
-            matrix = tuple(rows)
-        work = model if matrix is None else _apply_prep_model(model, Preparation(matrix, None))
-        phi = implicit_solve(work.g, n - 1)
-        prep = Preparation(matrix, None if phi.is_zero() else phi)
-        work = model if prep.is_trivial else _apply_prep_model(model, prep)
+        if pivot != n - 1:  # swap the pivot variable with the last one
+            swap = {pivot: n - 1, n - 1: pivot}
+            matrix = tuple(
+                tuple(Fraction(int(swap.get(r, r) == c)) for c in range(n)) for r in range(n)
+            )
+        work, prep = _shear_to_contact(model, matrix, 1)
         center = Center((n - 1,), n)
         chart = ChartMap(center, n - 1)
         child_model = _chart_model(work, chart, 1, prepared=False)
@@ -1524,8 +1522,7 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
         elif node.kind != KIND_LEAF:
             prep = node.prep
             if prep is not None and not prep.is_trivial:
-                strict = _apply_prep(strict, prep)
-                ledger = ledger.map_jets(lambda jet: _apply_prep(jet, prep))
+                strict, ledger = _apply_prep(strict, ledger, prep)
                 if prep.matrix is not None:
                     dets *= mat_det(prep.matrix)
             if node.center is not None:
@@ -1557,6 +1554,13 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
         assumptions=tuple(tree.assumptions),
         structure=tuple(structure),
     )
+
+
+def _strip_coordinate_factors(jet: Jet) -> Jet:
+    """The jet with every power of a coordinate divided out."""
+    for i in range(jet.nvars):
+        _, jet = jet.factor_coordinate_power(i)
+    return jet
 
 
 def _audit_leaf(tree, leaf, strict, ledger, composed, dets, steps) -> LeafAudit:
@@ -1656,19 +1660,13 @@ def _audit_leaf(tree, leaf, strict, ledger, composed, dets, steps) -> LeafAudit:
     if not jac_ok:
         reasons.append("Jacobian determinant does not match its chart factorization")
     else:
+        cores = [_strip_coordinate_factors(jet) for jet in through]
         for core, codim, _ in exceptionals:
             if codim <= 1:
                 continue
-            for i in range(n):
-                _, core = core.factor_coordinate_power(i)
+            core = _strip_coordinate_factors(core)
             if core.is_unit():
                 continue
-            cores = []
-            for e in ledger.through_origin():
-                ec = e.jet
-                for i in range(n):
-                    _, ec = ec.factor_coordinate_power(i)
-                cores.append(ec)
             tt = min([core.trunc] + [c.trunc for c in cores]) if cores else core.trunc
             if not any(core.with_truncation(tt) == c.with_truncation(tt) for c in cores):
                 jac_ok = False

@@ -2,7 +2,8 @@
 
 Every speed-up of the kernel or the driver must leave ``to_json()`` byte for
 byte as it was.  These SHA-256 digests pin it for a few bundled inputs and
-one dense germ (whose drive runs ``implicit_solve`` on a dense jet) and
+one dense germ (whose drive runs ``implicit_solve`` on a dense jet), a
+3-variable monomialization whose absorb step swaps variables and shears, and
 two runs with base points off the origin, pin
 the terms of ``invert_map`` and ``inverse_majorant`` on fixed inputs, and
 pin a few ``compose_coefficient`` values on fixed tables; a
@@ -67,6 +68,13 @@ GOLDEN = [
         "0da8a2ca37703484b8b61acbdb3a4459a066fc80b655a48541447354d0347c85",
         "c3e260c536cfdf20b40bf6cace794b7b64ce6f82c5ce43ce464012812033d8df",
         id="resolve-dense-cusp-T26",
+    ),
+    # its absorb step applies a swap matrix and a nonzero shear in 3 variables
+    pytest.param(
+        "monomialize", ["z^2 - x^2*y"], 24,
+        "68951199ccece101b0c608375a20a2af25a797102338f3af68df6e68aba52fe9",
+        "9eba00c5874c83824136dd0f8f821e90be173a7ecf735cac6be2c48b2101e1bb",
+        id="monomialize-z2-x2y",
     ),
 ]
 

@@ -289,6 +289,14 @@ def _verify_data(tmp_path, data):
     return run_cli(["verify", str(tmp_path / "edited.json")])
 
 
+def _umbrella_tree(tmp_path):
+    # a tree of the Whitney umbrella and a node of it with a 3x3 prep matrix
+    run_cli(["resolve", "x^2 - y^2*z", "--emit", "json", "--out", str(tmp_path / "umbrella")])
+    data = json.loads((tmp_path / "umbrella.json").read_text())
+    node = next(nd for nd in data["nodes"] if nd["prep"] and nd["prep"]["matrix"])
+    return data, node
+
+
 class TestMalformedTree:
     def test_missing_config(self, tmp_path):
         data = _cusp_tree(tmp_path)
@@ -380,6 +388,31 @@ class TestMalformedTree:
         code, text = _verify_data(tmp_path, data)
         assert code == 4
         assert "input jet 1 has 2 variables, not 3" in text
+
+    def test_singular_prep_matrix(self, tmp_path):
+        data, node = _umbrella_tree(tmp_path)
+        node["prep"]["matrix"][0] = ["0", "0", "0"]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert f"the prep matrix of node {node['id']} is singular" in text
+
+    def test_prep_matrix_of_the_wrong_size(self, tmp_path):
+        data, node = _umbrella_tree(tmp_path)
+        node["prep"]["matrix"] = [row[:2] for row in node["prep"]["matrix"][:2]]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert f"the prep matrix of node {node['id']} is not 3x3" in text
+        node["prep"]["matrix"] = [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert f"the prep matrix of node {node['id']} is not 3x3" in text
+
+    def test_shear_in_the_wrong_frame(self, tmp_path):
+        data, node = _umbrella_tree(tmp_path)
+        node["prep"]["shear"] = {"nvars": 3, "trunc": 22, "terms": [[[0, 1, 1], "1"]]}
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert f"the shear of node {node['id']} is not in 2 variables" in text
 
 
 class TestIncompleteTree:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import json
 import random
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from resolvkit.blowup import (
@@ -28,8 +28,15 @@ from resolvkit.resolve import (
     tree_from_json_dict,
     verify_resolution,
 )
-from resolvkit.resolve import _model, _write_json
-from resolvkit.series import Jet
+from resolvkit.resolve import (
+    Preparation,
+    _apply_prep_model,
+    _complete_basis,
+    _lift_prep,
+    _model,
+    _write_json,
+)
+from resolvkit.series import Jet, linear_change, substitute
 
 
 T = 24
@@ -524,3 +531,110 @@ class TestExceptionalOnlyEndgame:
         walk(drafts)
         assert leaves
         assert all(nd.leaf["passed"] for nd in leaves)
+
+
+# -- the preparation map against the two-step route it replaced ---------------
+
+PREP_SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+PREP_RATIONALS = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(3)]
+)
+
+
+def two_step(f, prep):
+    """f after ``prep`` the way it was once applied: ``linear_change`` by the
+    matrix, then a second substitution shearing the last variable."""
+    if prep.matrix is not None:
+        f = linear_change(f, prep.matrix)
+    if prep.shear is not None:
+        n = f.nvars
+        phi = prep.shear.insert_var(n - 1)
+        t = min(f.trunc, phi.trunc)
+        comps = [Jet.variable(j, n, t) for j in range(n - 1)]
+        comps.append(Jet.variable(n - 1, n, t) + phi.with_truncation(t))
+        f = substitute(f, comps)
+    return f
+
+
+def swap_matrix(n, pivot):
+    """The permutation matrix exchanging x_pivot and x_n, as an absorb step
+    builds it."""
+    swap = {pivot: n - 1, n - 1: pivot}
+    return tuple(tuple(Fraction(int(swap.get(r, r) == c)) for c in range(n)) for r in range(n))
+
+
+@st.composite
+def poly(draw, n, trunc, constant=True):
+    exps = st.tuples(*[st.integers(0, trunc) for _ in range(n)])
+    terms = draw(st.dictionaries(exps, PREP_RATIONALS, max_size=5))
+    if not constant:
+        terms.pop((0,) * n, None)
+    return Jet(n, trunc, terms)
+
+
+@st.composite
+def invertible_matrices(draw, n):
+    kind = draw(st.sampled_from(["none", "basis", "swap", "dense"]))
+    if kind == "none":
+        return None
+    if kind == "basis":
+        target = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+        return _complete_basis(tuple(target), n)
+    if kind == "swap":
+        return swap_matrix(n, draw(st.integers(0, n - 1)))
+    # L U with L unit lower and U upper triangular, U with a nonzero diagonal
+    entries = PREP_RATIONALS | st.just(Fraction(0))
+    low = [[draw(entries) if c < r else Fraction(int(c == r)) for c in range(n)] for r in range(n)]
+    up = [[draw(PREP_RATIONALS if c == r else entries) if c >= r else Fraction(0)
+           for c in range(n)] for r in range(n)]
+    return tuple(tuple(sum(low[r][k] * up[k][c] for k in range(n)) for c in range(n))
+                 for r in range(n))
+
+
+@st.composite
+def preparations(draw, n):
+    """A preparation in n variables: an invertible matrix or none, and a
+    shear without constant term or none."""
+    matrix = draw(invertible_matrices(n))
+    shear = None
+    if draw(st.booleans()):
+        shear = draw(poly(n - 1, draw(st.integers(1, 6)), constant=False))
+    return Preparation(matrix, shear)
+
+
+class TestPreparationMap:
+    """``Preparation.as_map`` gives what a linear change followed by a shear
+    of the last variable gives, truncation included, whatever truncation the
+    map is built at (at least the jet's)."""
+
+    @PREP_SETTINGS
+    @given(st.integers(2, 4), st.data())
+    def test_as_map_is_linear_change_then_shear(self, n, data):
+        prep = data.draw(preparations(n))
+        f = data.draw(poly(n, data.draw(st.integers(1, 6))))
+        for trunc in (f.trunc, f.trunc + data.draw(st.integers(1, 3))):
+            # Jet equality includes the truncation
+            assert substitute(f, prep.as_map(n, trunc)) == two_step(f, prep)
+
+    @PREP_SETTINGS
+    @given(st.integers(2, 3), st.data())
+    def test_lifted_as_map_is_linear_change_then_shear(self, n, data):
+        lifted = _lift_prep(data.draw(preparations(n)))
+        assume(lifted is not None)
+        f = data.draw(poly(n + 1, data.draw(st.integers(1, 5))))
+        out = substitute(f, lifted.as_map(n + 1, f.trunc))
+        assert out == two_step(f, lifted)
+
+    def test_model_jets_keep_their_truncations(self):
+        # one map serves g and every ledger jet: each result keeps
+        # min(jet.trunc, shear.trunc), as the two-step route gives it
+        g = Jet(3, 12, {(2, 0, 0): 1, (0, 1, 2): -1, (0, 0, 3): 2})
+        ledger = ExceptionalLedger([
+            LedgerEntry(0, Jet(3, 7, {(1, 0, 0): 1, (0, 0, 2): 1}), "new"),
+            LedgerEntry(1, Jet(3, 14, {(0, 1, 0): 1, (0, 0, 1): 1}), "new"),
+        ])
+        prep = Preparation(_complete_basis((1, 0, 2), 3), Jet(2, 10, {(1, 1): Fraction(1, 2)}))
+        out = _apply_prep_model(_model(g, ledger), prep)
+        assert out.g == two_step(g, prep) and out.g.trunc == 10
+        assert [e.jet for e in out.ledger] == [two_step(e.jet, prep) for e in ledger]
+        assert [e.jet.trunc for e in out.ledger] == [7, 10]

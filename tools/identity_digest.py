@@ -1,0 +1,79 @@
+"""Print three SHA-256 digests that pin resolvkit's output byte for byte.
+
+    python3 tools/identity_digest.py
+
+1. ``corpus``: over ``repr((argv, exit_code, stdout))`` of every ``cli.main``
+   run on ``bench/corpus.resolve_corpus`` seeds 1 and 2 (90 runs).
+2. ``verify``: over ``repr((argv, exit_code, stdout))`` with the argv of
+   each of those runs and the exit code and output of ``cli.main(["verify",
+   path])`` on the tree it wrote.
+3. ``extra``: over the ``corpus`` and ``verify`` digests of EXTRA, runs
+   that reach every route a coordinate preparation takes: an absorb step
+   with a swap matrix and a shear, covering pieces off the origin, and
+   lifted preparations (the last two runs exit 5).
+
+A refactor that must not change the output runs this on the parent commit
+and on the change and compares the three lines.  The script imports
+resolvkit from this checkout's ``src/`` and only reads ``bench/corpus.py``
+(and the ``bench/oracle.py`` it imports).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no cache files under bench/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from corpus import resolve_corpus  # noqa: E402
+
+from resolvkit.cli import main  # noqa: E402
+
+SEEDS = (1, 2)
+EXTRA = [
+    ["monomialize", "x - y^2"],
+    ["monomialize", "x + y^2 + z^3"],
+    ["monomialize", "z^2 - x^2*y"],
+    ["rectilinearize", "y^2-x^3", "y - 1 + x", "--vars", "x,y",
+     "--base-points", "0,0;0,1;1,0"],
+    ["resolve", "z^3-x^2*y^2"],
+    ["resolve", "z^2 - x^2 - y^3"],
+]
+
+
+def _run(argv):
+    out = io.StringIO()
+    code = main(argv, out=out)
+    return code, out.getvalue()
+
+
+def _hash_runs(argvs, path):
+    """Digests of the runs of ``argvs`` and of ``verify`` on each output."""
+    runs, verify = hashlib.sha256(), hashlib.sha256()
+    for argv in argvs:
+        code, text = _run(argv)
+        runs.update(repr((argv, code, text)).encode())
+        Path(path).write_text(text)
+        verify.update(repr((argv, *_run(["verify", path]))).encode())
+    return runs.hexdigest(), verify.hexdigest()
+
+
+def digests():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "tree.json")
+        corpus = [entry.argv() for seed in SEEDS for entry in resolve_corpus(seed)]
+        corpus_runs, corpus_verify = _hash_runs(corpus, path)
+        extra = hashlib.sha256(
+            "".join(_hash_runs([argv + ["--emit", "json"] for argv in EXTRA], path)).encode()
+        )
+    return {"corpus": corpus_runs, "verify": corpus_verify, "extra": extra.hexdigest()}
+
+
+if __name__ == "__main__":
+    for name, digest in digests().items():
+        print(f"{name} {digest}")
