@@ -7,8 +7,9 @@ an independent cross-check), dc (growth-sequence analysis), and verify
 
 Exit codes: 0 success with all checks passed, 2 checks failed (a report is
 still emitted), 3 truncation or blow-up budget exhausted, 4 input error
-(including a malformed tree JSON and a bad command line), 5 an internal
-invariant of the algorithm failed (the input is not yet supported).
+(including a malformed tree JSON, a tree whose replay in ``verify`` breaks an
+invariant of the algorithm, and a bad command line), 5 an internal invariant
+of the algorithm failed in a run (the input is not yet supported).
 All output is deterministic: maps are serialized in sorted key order.
 """
 
@@ -244,9 +245,13 @@ def _parse_family(spec: str) -> GrowthSequence:
 
 
 def _cmd_dc(args, out):
-    m = _parse_family(args.family)
     depth = args.depth
+    if depth < 0:
+        raise UsageError(f"--depth must be nonnegative, not {depth}")
+    m = _parse_family(args.family)
     if m.kind == "custom":
+        if len(m.prefix) < 3:  # log-convexity compares m_1^2 with m_0 m_2
+            raise ValueError(f"a custom prefix needs at least 3 terms, not {len(m.prefix)}")
         depth = min(depth, len(m.prefix) - 1)
     conv = is_log_convex(m, max(2, depth))
     if conv.ok:
@@ -274,7 +279,12 @@ def _cmd_verify(args, out):
     with open(args.tree) as fh:
         data = json.load(fh)
     tree = tree_from_json_dict(data)
-    report = verify_resolution(tree)
+    try:
+        report = verify_resolution(tree)
+    except AlgorithmError as exc:
+        # the tree is this command's input: a replay that breaks an invariant
+        # of the algorithm shows a bad file, not a fault of the resolver
+        raise ValueError(str(exc)) from None
     for line in report.lines():
         print(line, file=out)
     for nid, text in report.assumptions:

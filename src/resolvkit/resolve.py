@@ -163,12 +163,12 @@ def _model(g: Jet, ledger: ExceptionalLedger, prepared=False) -> LocalModel:
 
 @dataclass(frozen=True)
 class Preparation:
-    """Coordinate work preceding a phase: optional linear change, then a shear
-    of the last variable by a series in the others.
+    """Coordinate work preceding a phase: optional linear change M, then a
+    shear x_n -> x_n + phi of the last variable by a series phi in the others.
 
-    ``as_map`` is the one definition of its action; the driver, the
-    verifier's replay and the tree writer all apply a preparation through
-    that map."""
+    ``as_map`` is the one definition of its action, written in closed form;
+    the resolver, the verifier's replay and the tree writer all apply a
+    preparation through that map."""
 
     matrix: tuple | None
     shear: Jet | None  # jet in the first n-1 variables
@@ -178,43 +178,47 @@ class Preparation:
         return self.matrix is None and self.shear is None
 
     def as_map(self, n: int, trunc: int) -> PolyMap:
-        """Parent coordinates as functions of the prepared coordinates."""
-        t = trunc if self.shear is None else min(trunc, self.shear.trunc)
-        comps = [Jet.variable(j, n, t) for j in range(n)]
-        if self.shear is not None:
-            comps[n - 1] = comps[n - 1] + self.shear.with_truncation(t).insert_var(n - 1)
-        if self.matrix is not None:
-            lin = PolyMap.from_matrix(self.matrix, t)
-            if self.shear is None:
-                return lin
-            comps = [substitute(l, comps) for l in lin.components]
-        return PolyMap(comps)
+        """Parent coordinates as functions of the prepared coordinates:
+        component i is sum_k M[i][k] x_k + M[i][n-1] phi, with M the identity
+        when there is no matrix and phi zero when there is no shear, at
+        truncation min(trunc, phi.trunc)."""
+        matrix = self.matrix or tuple(
+            tuple(Fraction(int(i == k)) for k in range(n)) for i in range(n)
+        )
+        if self.shear is None:
+            return PolyMap.from_matrix(matrix, trunc)
+        t = min(trunc, self.shear.trunc)
+        phi = self.shear.with_truncation(t).insert_var(n - 1)
+        lin = PolyMap.from_matrix(matrix, t)
+        return PolyMap([c + phi.scale(row[n - 1]) for c, row in zip(lin.components, matrix)])
 
 
-def _apply_prep(g: Jet, ledger: ExceptionalLedger, prep: Preparation):
-    """g and the ledger's jets in the prepared coordinates, through one map
-    built at the largest of their truncations, so that each result keeps
+def _apply_prep(prep: Preparation, g: Jet, ledger: ExceptionalLedger, trunc: int = 0):
+    """g and the ledger's jets in the prepared coordinates, and the map that
+    took them there.  The map is built once, at the largest of their
+    truncations and ``trunc``, so that each result keeps
     min(jet.trunc, shear.trunc)."""
-    step = prep.as_map(g.nvars, max([g.trunc] + [e.jet.trunc for e in ledger]))
-    return substitute(g, step), ledger.map_jets(lambda jet: substitute(jet, step))
+    step = prep.as_map(g.nvars, max([trunc, g.trunc] + [e.jet.trunc for e in ledger]))
+    return substitute(g, step), ledger.map_jets(lambda jet: substitute(jet, step)), step
 
 
 def _apply_prep_model(model: LocalModel, prep: Preparation) -> LocalModel:
-    return _model(*_apply_prep(model.g, model.ledger, prep), prepared=True)
+    g, ledger, _ = _apply_prep(prep, model.g, model.ledger)
+    return _model(g, ledger, prepared=True)
 
 
 def _shear_to_contact(model: LocalModel, matrix, d: int):
-    """Apply the linear change ``matrix`` (if any), then shear the last
-    variable so that the (d-1)-th pure derivative in it vanishes exactly on
-    {x_n = 0}.  Returns the model and the whole preparation."""
-    n = model.nvars
+    """The preparation of the linear change ``matrix`` (if any) followed by
+    the shear of the last variable that makes the (d-1)-th pure derivative in
+    it vanish exactly on {x_n = 0}, and the model it prepares.  The shear is
+    solved on g after the linear change alone; the whole preparation then
+    acts once on g and the ledger."""
+    n, g = model.nvars, model.g
     if matrix is not None:
-        model = _apply_prep_model(model, Preparation(matrix, None))
-    phi = implicit_solve(model.g.nth_partial(n - 1, d - 1), n - 1)
-    shear = None if phi.is_zero() else phi
-    if shear is not None:
-        model = _apply_prep_model(model, Preparation(None, shear))
-    return model, Preparation(matrix, shear)
+        g = substitute(g, PolyMap.from_matrix(matrix, g.trunc))
+    phi = implicit_solve(g.nth_partial(n - 1, d - 1), n - 1)
+    prep = Preparation(matrix, None if phi.is_zero() else phi)
+    return (model if prep.is_trivial else _apply_prep_model(model, prep)), prep
 
 
 def _direction_candidates(n: int, cap: int):
@@ -235,17 +239,6 @@ def _direction_candidates(n: int, cap: int):
             yield v
 
 
-def _form_value(form_coeffs, v) -> Fraction:
-    total = Fraction(0)
-    for alpha, c in form_coeffs.items():
-        term = Fraction(c)
-        for a, e in zip(v, alpha):
-            if e:
-                term *= Fraction(a) ** e
-        total += term
-    return total
-
-
 def _complete_basis(target, n: int):
     """Matrix whose last column is the nonzero target direction, after the
     standard basis vectors in ascending order but the one at the target's
@@ -260,9 +253,10 @@ def prepare_local_model(g: Jet, ledger: ExceptionalLedger, d: int | None = None)
     """Arrange coordinates so the pure order-d derivative in the last variable
     is a unit and the contact hypersurface is exactly {x_n = 0}.
 
-    Returns ``(model, preparation)``.  The direction search is deterministic;
-    when the contact solution is the zero jet no shear is applied and no
-    certified degrees are spent.
+    Returns ``(model, preparation)``.  ``d`` defaults to the order of g and
+    must not exceed it.  The direction search is deterministic; when the
+    contact solution is the zero jet no shear is applied and no certified
+    degrees are spent.
     """
     if g.is_zero():
         raise ValueError("cannot prepare the zero jet")
@@ -273,10 +267,10 @@ def prepare_local_model(g: Jet, ledger: ExceptionalLedger, d: int | None = None)
         raise ValueError("preparation needs a vanishing germ")
     if d >= g.trunc:
         raise TruncationError(f"order {d} is too close to the certified degree {g.trunc}")
-    form = {a: c for a, c in g.terms() if sum(a) == d}
+    form = g.with_truncation(d)  # the degree-d form, as d is at most the order
     direction = None
     for v in _direction_candidates(n, cap=d + 2):
-        if _form_value(form, v) != 0:
+        if form.eval_at(v) != 0:
             direction = v
             break
     if direction is None:
@@ -429,10 +423,10 @@ class ResolutionTree:
         def compose(composed, node):
             # A chart is a monomial map, so it composes here as a key shift
             # (ChartMap.pullback) and a base point as a recentering.
-            # verify_resolution composes its steps through the general
-            # substitute (_node_step_map) on purpose: it builds the strict
-            # transform by ChartMap.pullback, so its total-transform check
-            # cross-checks the pullback against substitute.
+            # verify_resolution composes its chart steps through the general
+            # substitute on purpose: it builds the strict transform by
+            # ChartMap.pullback, so its total-transform check cross-checks
+            # the pullback against substitute.
             if node.kind == KIND_COVERING:
                 base = node.base_point
                 if not any(base or ()):
@@ -831,6 +825,23 @@ def _pair_at(model: LocalModel, phase: _PhaseState | None):
     return (model.d, len([i for i in phase.old_ids if i in through]))
 
 
+def _blowup_node(model, phase, prep, chart, assumptions, budget=None):
+    """The node of one blow-up chart, or of a coordinate change when ``chart``
+    is None, whose origin carries ``model``; a trivial ``prep`` is dropped."""
+    return Node(
+        KIND_BLOWUP,
+        prep=None if prep is None or prep.is_trivial else prep,
+        center=None if chart is None else chart.center.indices,
+        chart_index=None if chart is None else chart.chart_index,
+        identity=chart is None or chart.center.is_identity_blowup,
+        pair=_pair_at(model, phase),
+        s_total=model.s,
+        assumptions=assumptions,
+        budget=budget,
+        model=model,
+    )
+
+
 def _check_path_budget(ctx: _Ctx, depth: int):
     if depth > ctx.config.max_blowups:
         raise BudgetError(
@@ -1057,19 +1068,18 @@ def _lift_prep(prep: Preparation | None):
 def _lift_transform(sd: Node, umodel: LocalModel):
     """Apply one lifted reduction step to the ambient model.
 
-    Returns ``(child_model, lifted_prep)``; for pure coordinate-change nodes
-    the child is the transformed model itself.
+    Returns ``(child_model, lifted_prep, chart)``; for a pure coordinate
+    change the chart is None and the child is the transformed model itself.
     """
     lifted_prep = _lift_prep(sd.prep)
     work = umodel if lifted_prep is None else _apply_prep_model(umodel, lifted_prep)
     if sd.center is None:
-        return work, lifted_prep
-    center = Center(tuple(sd.center), work.nvars)
-    chart = ChartMap(center, sd.chart_index)
-    mu = order_along_center(work.g, center)
+        return work, lifted_prep, None
+    chart = ChartMap(Center(tuple(sd.center), work.nvars), sd.chart_index)
+    mu = order_along_center(work.g, chart.center)
     if mu.is_finite and mu.value != 0:
         raise AlgorithmError("a lifted center met the hypersurface equimultiply")
-    return _chart_model(work, chart, 0, prepared=True), lifted_prep
+    return _chart_model(work, chart, 0, prepared=True), lifted_prep, chart
 
 
 def _lift_walk(sub_nodes, umodel, prep, phase, ctx, depth, assumptions):
@@ -1094,23 +1104,12 @@ def _lift_walk(sub_nodes, umodel, prep, phase, ctx, depth, assumptions):
             continue
         if sd.kind != KIND_BLOWUP:
             raise AlgorithmError("unexpected node kind inside a reduction subtree")
-        child_model, lifted_prep = _lift_transform(sd, umodel)
+        child_model, lifted_prep, chart = _lift_transform(sd, umodel)
         node_prep = _merge_preps(prep, lifted_prep)
-        identity = True if sd.center is None else Center(
-            tuple(sd.center), umodel.nvars
-        ).is_identity_blowup
-        if sd.center is not None:
+        if chart is not None:
             _check_path_budget(ctx, depth + 1)
-        node = Node(
-            KIND_BLOWUP,
-            prep=node_prep,
-            center=None if sd.center is None else tuple(sd.center),
-            chart_index=sd.chart_index,
-            identity=identity,
-            pair=_pair_at(child_model, phase),
-            s_total=child_model.s,
-            assumptions=list(assumptions) + list(sd.assumptions),
-            model=child_model,
+        node = _blowup_node(
+            child_model, phase, node_prep, chart, list(assumptions) + list(sd.assumptions)
         )
         node.children = _lift_walk(
             sd.children,
@@ -1155,22 +1154,11 @@ def _finish_phase_no_data(model, prep, phase, ctx, depth, assumptions):
     if not needs_contact:
         children = _continue(model, ctx, depth)
         return _attach_prep(model, prep, phase, children, assumptions)
-    center = Center((n - 1,), n)
-    chart = ChartMap(center, n - 1)
+    chart = ChartMap(Center((n - 1,), n), n - 1)
     divide = phase.d if phase.front_entry is None else 0
     child_model = _chart_model(model, chart, divide, prepared=False)
     _check_path_budget(ctx, depth + 1)
-    node = Node(
-        KIND_BLOWUP,
-        prep=prep,
-        center=center.indices,
-        chart_index=n - 1,
-        identity=True,
-        pair=_pair_at(child_model, phase),
-        s_total=child_model.s,
-        assumptions=assumptions,
-        model=child_model,
-    )
+    node = _blowup_node(child_model, phase, prep, chart, assumptions)
     node.children = _continue(child_model, ctx, depth + 1)
     return [node]
 
@@ -1181,17 +1169,7 @@ def _attach_prep(model, prep, phase, children, assumptions):
         for ch in children:
             ch.assumptions = list(assumptions) + list(ch.assumptions)
         return children
-    node = Node(
-        KIND_BLOWUP,
-        prep=prep,
-        center=None,
-        chart_index=None,
-        identity=True,
-        pair=_pair_at(model, phase),
-        s_total=model.s,
-        assumptions=assumptions,
-        model=model,
-    )
+    node = _blowup_node(model, phase, prep, None, assumptions)
     node.children = children
     return [node]
 
@@ -1230,18 +1208,8 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
         positions = [j for j in center.indices if j != m]
         predicted = {k: om.updated(positions, i) for k, om in omegas.items()}
     _check_path_budget(ctx, depth + 1)
-    node = Node(
-        KIND_BLOWUP,
-        prep=prep,
-        center=chart.center.indices,
-        chart_index=i,
-        identity=chart.center.is_identity_blowup,
-        pair=_pair_at(child, phase),
-        s_total=child.s,
-        assumptions=assumptions,
-        model=child,
-        budget={"limit": phase.stretch_limit, "step": phase.stretch_step + 1},
-    )
+    budget = {"limit": phase.stretch_limit, "step": phase.stretch_step + 1}
+    node = _blowup_node(child, phase, prep, chart, assumptions, budget)
     if tuple(node.pair) > tuple(phase.start_pair):
         raise AlgorithmError(
             f"invariant pair increased: {phase.start_pair} -> {node.pair}"
@@ -1340,22 +1308,11 @@ def _absorb_in_drafts(children, ctx: _Ctx):
                 tuple(Fraction(int(swap.get(r, r) == c)) for c in range(n)) for r in range(n)
             )
         work, prep = _shear_to_contact(model, matrix, 1)
-        center = Center((n - 1,), n)
-        chart = ChartMap(center, n - 1)
+        chart = ChartMap(Center((n - 1,), n), n - 1)
         child_model = _chart_model(work, chart, 1, prepared=False)
         if child_model.g.constant_term == 0:
             raise AlgorithmError("absorbing the strict transform failed")
-        blow = Node(
-            KIND_BLOWUP,
-            prep=None if prep.is_trivial else prep,
-            center=center.indices,
-            chart_index=n - 1,
-            identity=True,
-            pair=(child_model.d, child_model.s),
-            s_total=child_model.s,
-            model=child_model,
-            assumptions=node.assumptions,
-        )
+        blow = _blowup_node(child_model, None, prep, chart, node.assumptions)
         blow.children = [_leaf_node(child_model, passed=True, extra={"absorbed": True})]
         return blow
 
@@ -1456,26 +1413,6 @@ class VerifyReport:
         return out
 
 
-def _node_step_map(node: Node, n: int, trunc: int) -> PolyMap | None:
-    """Parent coordinates as functions of this node's coordinates."""
-    if node.kind == KIND_COVERING:
-        base = node.base_point or tuple([Fraction(0)] * n)
-        comps = [
-            Jet.variable(j, n, trunc) + Jet.constant(base[j], n, trunc) for j in range(n)
-        ]
-        return PolyMap(comps)
-    if node.kind == KIND_LEAF:
-        return None
-    step = None
-    if node.prep is not None and not node.prep.is_trivial:
-        step = node.prep.as_map(n, trunc)
-    if node.center is not None:
-        chart = ChartMap(Center(tuple(node.center), n), node.chart_index)
-        chart_map = chart.components(trunc if step is None else step.trunc)
-        step = chart_map if step is None else compose_maps(step, chart_map)
-    return step
-
-
 def _structure_problems(tree: ResolutionTree) -> list:
     """Charts missing from the tree: the children of a node that carry one
     center must be exactly one chart per center index, a node has children
@@ -1505,45 +1442,64 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
     """Replay the whole tree from the input and re-check every leaf.
 
     The replay uses only chart formulas, preparations, and base points stored
-    on the nodes: strict transforms are recomputed by factoring maximal
-    exceptional powers from pullbacks, ledgers are rebuilt entry by entry, and
-    the composed map gives the total transform and the Jacobian determinant.
+    on the nodes, in one walk down each root path: strict transforms are
+    recomputed by factoring maximal exceptional powers from pullbacks, ledgers
+    are rebuilt entry by entry, and the composed map (for the total transform
+    and the Jacobian determinant) is carried forward with each blow-up's
+    exceptional variable.  One preparation map per node serves all three.
     The stored leaf snapshots must match the recomputation exactly, and the
-    tree must hold every chart of each blow-up it records.
+    tree must hold every chart of each blow-up it records.  An error raised
+    while replaying or auditing a node is raised again naming the node.
     """
     g_input = tree.input_jets[0]
     n = g_input.nvars
 
     def replay(state, node):
-        strict, ledger, composed, dets, steps = state
-        step, peel = _node_step_map(node, n, composed.trunc), None
+        # maps: the composed map's n components, then the exceptional
+        # variable of each blow-up so far; peels: its codimension and power
+        strict, ledger, maps, dets, peels = state
         if node.kind == KIND_COVERING:
-            strict = strict.recenter(node.base_point or tuple([Fraction(0)] * n))
-        elif node.kind != KIND_LEAF:
-            prep = node.prep
-            if prep is not None and not prep.is_trivial:
-                strict, ledger = _apply_prep(strict, ledger, prep)
-                if prep.matrix is not None:
-                    dets *= mat_det(prep.matrix)
-            if node.center is not None:
-                chart = ChartMap(Center(tuple(node.center), n), node.chart_index)
-                pulled = chart.pullback(strict)
-                if pulled.is_zero():
-                    power, strict = 0, pulled
-                else:
-                    power, strict = pulled.factor_coordinate_power(chart.exceptional_index)
-                ledger = _transform_ledger(ledger, chart, strict.trunc)
-                peel = (node.chart_index, chart.center.codim, power)
+            base = node.base_point or tuple([Fraction(0)] * n)
+            recentered = [c.recenter(base) for c in maps.components[:n]]
+            maps = PolyMap(recentered + list(maps.components[n:]))
+            return strict.recenter(base), ledger, maps, dets, peels
+        if node.kind == KIND_LEAF:
+            return state
+        # step: the parent's coordinates as functions of this node's
+        prep, step = node.prep, None
+        if prep is not None and not prep.is_trivial:
+            strict, ledger, step = _apply_prep(prep, strict, ledger, maps.trunc)
+            if prep.matrix is not None:
+                dets *= mat_det(prep.matrix)
+        if node.center is not None:
+            chart = ChartMap(Center(tuple(node.center), n), node.chart_index)
+            pulled = chart.pullback(strict)
+            if pulled.is_zero():
+                power, strict = 0, pulled
+            else:
+                power, strict = pulled.factor_coordinate_power(chart.exceptional_index)
+            ledger = _transform_ledger(ledger, chart, strict.trunc)
+            chart_map = chart.components(maps.trunc)
+            step = chart_map if step is None else compose_maps(step, chart_map)
+            peels += ((chart.center.codim, power),)
         if step is not None:
-            composed = compose_maps(composed, step)
-        # a base point moves no exceptional variable: the suffix maps skip it
-        steps += ((None if node.kind == KIND_COVERING else step, peel),)
-        return strict, ledger, composed, dets, steps
+            maps = compose_maps(maps, step)
+        if node.center is not None:  # the new exceptional variable, y_i
+            maps = PolyMap(maps.components + (Jet.variable(node.chart_index, n, maps.trunc),))
+        return strict, ledger, maps, dets, peels
+
+    def named(node, fn, *args):
+        """fn(*args), with the node's id put in front of any error it raises."""
+        try:
+            return fn(*args)
+        except (AlgorithmError, ValueError, RuntimeError) as exc:
+            exc.args = (f"node {node.nid}: {exc}",)
+            raise
 
     start = (g_input, ExceptionalLedger(), PolyMap.identity(n, g_input.trunc), Fraction(1), ())
     audits = {
-        node.nid: _audit_leaf(tree, node, *state)
-        for node, state in _walk(tree, replay, start)
+        node.nid: named(node, _audit_leaf, tree, node, *state)
+        for node, state in _walk(tree, lambda st, nd: named(nd, replay, st, nd), start)
         if node.kind == KIND_LEAF
     }
     structure = _structure_problems(tree)
@@ -1563,28 +1519,20 @@ def _strip_coordinate_factors(jet: Jet) -> Jet:
     return jet
 
 
-def _audit_leaf(tree, leaf, strict, ledger, composed, dets, steps) -> LeafAudit:
-    """Check one leaf against its replayed root path.
+def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
+    """Check one leaf against the state the replay carried down its root path.
 
-    ``steps`` holds, for each node of the path, its step map (None for
-    covering pieces and leaves) and, for a blow-up, the chart index, the
-    codimension of the center and the power divided out of the strict
-    transform."""
+    The first n components of ``maps`` are the composed map to the input
+    frame.  The others are, for each blow-up of the path from the root down,
+    its exceptional variable pulled forward through every later step, in the
+    leaf's coordinates at the composed map's truncation; ``peels`` holds the
+    codimension of its center and the power divided out of the strict
+    transform there."""
     g_input = tree.input_jets[0]
     n = g_input.nvars
+    composed = PolyMap(maps.components[:n])
+    exceptionals = [(e, codim, power) for e, (codim, power) in zip(maps.components[n:], peels)]
     reasons = []
-    # each blow-up's exceptional variable, pulled back to the leaf
-    exceptionals = []
-    tail = PolyMap.identity(n, composed.trunc)
-    # the root-most blow-up reads the last tail: no step at or above it is needed
-    first = next((k for k, (_, peel) in enumerate(steps) if peel is not None), len(steps))
-    for k in range(len(steps) - 1, first - 1, -1):
-        step, peel = steps[k]
-        if peel is not None:
-            chart_i, codim, power = peel
-            exceptionals.append((tail.components[chart_i], codim, power))
-        if step is not None and k > first:
-            tail = compose_maps(step, tail)
     # stored-vs-recomputed comparison
     stored = leaf.leaf or {}
     matches = True

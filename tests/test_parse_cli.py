@@ -11,8 +11,10 @@ import sys
 import pytest
 
 import resolvkit
+from resolvkit import resolve
 from resolvkit.cli import main
 from resolvkit.parse import ParseError, parse_many, parse_polynomial
+from resolvkit.resolve import AlgorithmError
 from resolvkit.series import Jet
 
 
@@ -122,6 +124,18 @@ class TestCliRuns:
         assert code == 0
         assert "log-convex: no (first violation at k=2)" in text
         assert "inconclusive" in text
+
+    def test_dc_custom_prefix_too_short(self):
+        for spec, terms in (("custom:1", 1), ("custom:1,2", 2)):
+            code, text = run_cli(["dc", spec])
+            assert code == 4
+            assert text == f"error: a custom prefix needs at least 3 terms, not {terms}\n"
+
+    def test_dc_negative_depth(self):
+        for spec in ("gevrey:1", "custom:1,1,3,4"):
+            code, text = run_cli(["dc", spec, "--depth", "-3"])
+            assert code == 4
+            assert text == "error: --depth must be nonnegative, not -3\n"
 
     def test_compose(self):
         code, text = run_cli(["compose", "y^2", "x + x^2", "--gamma", "3"])
@@ -413,6 +427,31 @@ class TestMalformedTree:
         code, text = _verify_data(tmp_path, data)
         assert code == 4
         assert f"the shear of node {node['id']} is not in 2 variables" in text
+
+    @pytest.mark.parametrize("trunc, message", [
+        # the replay breaks an invariant of the algorithm: a bad file, exit 4
+        (4, "node 5: exceptional entry 1 vanished under pullback"),
+        (2, "node 6: factor_coordinate_power is undefined on the zero jet"),
+    ])
+    def test_input_truncation_edited(self, tmp_path, trunc, message):
+        data = _cusp_tree(tmp_path)
+        data["input"][0]["trunc"] = trunc
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (4, f"error: {message}\n")
+
+    def test_algorithm_error_in_the_audit(self, tmp_path, monkeypatch):
+        # verify reads its tree from a file (exit 4); after a drive the tree
+        # is the resolver's own, so the same error stays an internal one (exit 5)
+        data = _cusp_tree(tmp_path)
+
+        def broken(tree, leaf, *state):
+            raise AlgorithmError("audit invariant")
+
+        monkeypatch.setattr(resolve, "_audit_leaf", broken)
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (4, "error: node 4: audit invariant\n")
+        code, text = run_cli(["resolve", "y^2 - x^3", "--verify"])
+        assert (code, text) == (5, "error: node 4: audit invariant\n")
 
 
 class TestIncompleteTree:

@@ -36,7 +36,7 @@ from resolvkit.resolve import (
     _model,
     _write_json,
 )
-from resolvkit.series import Jet, linear_change, substitute
+from resolvkit.series import Jet, PolyMap, compose_maps, linear_change, substitute
 
 
 T = 24
@@ -615,6 +615,23 @@ class TestPreparationMap:
         for trunc in (f.trunc, f.trunc + data.draw(st.integers(1, 3))):
             # Jet equality includes the truncation
             assert substitute(f, prep.as_map(n, trunc)) == two_step(f, prep)
+
+    @PREP_SETTINGS
+    @given(st.integers(2, 4), st.data())
+    def test_as_map_is_the_matrix_composed_with_the_shear(self, n, data):
+        # the closed form sum_k M[i][k] x_k + M[i][n-1] phi is L(S(x)), with S
+        # the identity at t = min(T, phi.trunc) and phi added to x_n
+        prep = data.draw(preparations(n))
+        T = data.draw(st.integers(0, 8))
+        t = T if prep.shear is None else min(T, prep.shear.trunc)
+        shear = list(PolyMap.identity(n, t).components)
+        if prep.shear is not None:
+            shear[n - 1] = shear[n - 1] + prep.shear.with_truncation(t).insert_var(n - 1)
+        matrix = prep.matrix or tuple(
+            tuple(Fraction(int(i == k)) for k in range(n)) for i in range(n)
+        )
+        expected = compose_maps(PolyMap.from_matrix(matrix, t), PolyMap(shear))
+        assert prep.as_map(n, T) == expected and prep.as_map(n, T).trunc == t
 
     @PREP_SETTINGS
     @given(st.integers(2, 3), st.data())
