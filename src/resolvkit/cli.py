@@ -245,15 +245,15 @@ def _parse_family(spec: str) -> GrowthSequence:
 
 
 def _cmd_dc(args, out):
-    depth = args.depth
-    if depth < 0:
-        raise UsageError(f"--depth must be nonnegative, not {depth}")
+    if args.depth < 0:
+        raise UsageError(f"--depth must be nonnegative, not {args.depth}")
+    depth = max(2, args.depth)  # the least depth log-convexity needs, for all three tests
     m = _parse_family(args.family)
     if m.kind == "custom":
         if len(m.prefix) < 3:  # log-convexity compares m_1^2 with m_0 m_2
             raise ValueError(f"a custom prefix needs at least 3 terms, not {len(m.prefix)}")
         depth = min(depth, len(m.prefix) - 1)
-    conv = is_log_convex(m, max(2, depth))
+    conv = is_log_convex(m, depth)
     if conv.ok:
         print("log-convex: yes", file=out)
         cons = log_convexity_consequences(m, min(depth, 8))

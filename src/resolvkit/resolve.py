@@ -334,6 +334,7 @@ class Node:
     nid: int | None = None
     parent_id: int | None = None
     blowup_index: int = 0
+    composed_map: list | None = None  # a leaf's, as read from tree JSON
 
     def __post_init__(self):
         self.children = list(self.children)
@@ -759,6 +760,7 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
             nid=nid,
             parent_id=parent_id,
             blowup_index=nd["blowup_index"],
+            composed_map=nd.get("composed_map"),
         )
         if parent_id is not None:
             by_id[parent_id].children.append(node)
@@ -881,19 +883,17 @@ def _continue(model: LocalModel, ctx: _Ctx, depth: int):
                 assumptions=[f"input treated as 0 (certified to degree {g.trunc})"],
             )
         ]
-    d = model.d
-    through = model.ledger.through_origin()
-    if d == 0:
-        rep = normal_crossings_check([e.jet for e in through])
-        if rep.ok:
-            return [_leaf_node(model, passed=True)]
-        return _phase(model, ctx, depth, front_entry=max(e.eid for e in through))
-    if d == 1:
-        rep = normal_crossings_check([e.jet for e in through], extra=g)
-        if rep.ok:
-            return [_leaf_node(model, passed=True)]
-        return _phase(model, ctx, depth, front_entry=None)
-    return _phase(model, ctx, depth, front_entry=None)
+    if model.d <= 1 and _crosses_normally(model, model.d):
+        return [_leaf_node(model, passed=True)]
+    front = max(e.eid for e in model.ledger.through_origin()) if model.d == 0 else None
+    return _phase(model, ctx, depth, front_entry=front)
+
+
+def _crosses_normally(model: LocalModel, d: int) -> bool:
+    """Whether the exceptionals through the origin cross normally, together
+    with the strict transform when ``d`` is 1."""
+    through = [e.jet for e in model.ledger.through_origin()]
+    return normal_crossings_check(through, extra=model.g if d == 1 else None).ok
 
 
 def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
@@ -910,7 +910,7 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
         prepped = replace(model, prepared=True)
         if not prep.is_trivial:
             prepped = _apply_prep_model(model, prep)
-    scale = factorial(d_front) if front_entry is None else 1
+    scale = factorial(d_front)
     assumptions = []
     cs, bs = coefficient_data(prepped, d_front)
     bs.pop(front_entry, None)
@@ -942,8 +942,8 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
     if not active_c and not active_b:
         return _finish_phase_no_data(prepped, prep, phase, ctx, depth, assumptions)
     data = _active_data(cs, bs, phase)
-    if _all_monomial_comparable(data):
-        omegas = _omega_of(data, phase)
+    omegas, comparable = _omega_of(data, phase)
+    if omegas is not None and comparable:
         return _monomial_loop(prepped, prep, phase, omegas, ctx, depth, assumptions)
     return _reduce_then_loop(prepped, prep, phase, data, ctx, depth, assumptions)
 
@@ -957,8 +957,7 @@ def _check_trunc(g: Jet, need: int):
 
 def _collect_data(prepped: LocalModel, phase: _PhaseState):
     """Re-derive the active marked data from the current model (ground truth)."""
-    d = phase.d if phase.front_entry is None else 1
-    return _active_data(*coefficient_data(prepped, d), phase)
+    return _active_data(*coefficient_data(prepped, phase.d), phase)
 
 
 def _active_data(cs, bs, phase: _PhaseState):
@@ -978,32 +977,25 @@ def _active_data(cs, bs, phase: _PhaseState):
     return data
 
 
-def _all_monomial_comparable(data) -> bool:
-    exps = []
-    for mf in data.values():
-        dec = mf.jet.monomial_unit_decompose()
-        if dec is None:
-            return False
-        exps.append(dec[0])
-    for a in exps:
-        for b in exps:
-            if not (
-                all(x <= y for x, y in zip(a, b)) or all(y <= x for x, y in zip(a, b))
-            ):
-                return False
-    return True
-
-
 def _omega_of(data, phase: _PhaseState):
-    omegas = {}
+    """Decompose each datum once, in key order: the scaled exponent vector of
+    each and whether their unscaled exponents are pairwise comparable, or
+    None and the key of the first datum that is not monomial times unit."""
+    omegas, exps = {}, []
     for key, mf in sorted(data.items()):
         dec = mf.jet.monomial_unit_decompose()
         if dec is None:
-            raise AlgorithmError(f"datum {key} is not monomial times unit")
+            return None, key
         alpha, _ = dec
         factor = phase.scale // mf.mark
         omegas[key] = OmegaScaled(tuple(e * factor for e in alpha), phase.scale)
-    return omegas
+        exps.append(alpha)
+    comparable = all(
+        all(x <= y for x, y in zip(a, b)) or all(y <= x for x, y in zip(a, b))
+        for a in exps
+        for b in exps
+    )
+    return omegas, comparable
 
 
 def _omega_json(omegas, phase):
@@ -1046,7 +1038,6 @@ def _reduce_then_loop(prepped, prep, phase, data, ctx, depth, assumptions):
     prod_jet = _reduction_product(data, phase.scale, assumptions)
     sub_ctx = _Ctx(config=ctx.config, mode=MONOMIALIZE)
     sub_children = _run_germ(prod_jet, ExceptionalLedger(), sub_ctx, depth)
-    sub_children = _absorb_in_drafts(sub_children, sub_ctx)
     return _lift_walk(sub_children, prepped, prep, phase, ctx, depth, assumptions)
 
 
@@ -1093,11 +1084,11 @@ def _lift_walk(sub_nodes, umodel, prep, phase, ctx, depth, assumptions):
                     _finish_phase_no_data(umodel, prep, phase, ctx, depth, list(assumptions))
                 )
                 continue
-            if not _all_monomial_comparable(data):
+            omegas, comparable = _omega_of(data, phase)
+            if omegas is None or not comparable:
                 raise AlgorithmError(
                     "reduction finished but the data are not monomial and comparable"
                 )
-            omegas = _omega_of(data, phase)
             out.extend(
                 _monomial_loop(umodel, prep, phase, omegas, ctx, depth, list(assumptions))
             )
@@ -1135,28 +1126,17 @@ def _merge_preps(a: Preparation | None, b: Preparation | None):
 def _finish_phase_no_data(model, prep, phase, ctx, depth, assumptions):
     """No active data at this origin: either finished, or one contact blow-up."""
     n = model.nvars
-    tangent = []
-    for e in model.ledger.through_origin():
-        if phase.front_entry is not None and e.eid == phase.front_entry:
-            continue
-        if e.jet.restrict_set_zero(n - 1).is_zero():
-            tangent.append(e.eid)
-    needs_contact = (phase.front_entry is None and phase.d >= 2) or bool(tangent)
-    if phase.front_entry is not None and not tangent:
-        # the endgame front must itself be absorbed to break the crossing
-        rep = normal_crossings_check([e.jet for e in model.ledger.through_origin()])
-        needs_contact = not rep.ok
-    if phase.front_entry is None and phase.d == 1 and not tangent:
-        rep = normal_crossings_check(
-            [e.jet for e in model.ledger.through_origin()], extra=model.g
-        )
-        needs_contact = not rep.ok
+    tangent = any(
+        e.eid != phase.front_entry and e.jet.restrict_set_zero(n - 1).is_zero()
+        for e in model.ledger.through_origin()
+    )
+    # an endgame front (d = 0) must itself be absorbed to break the crossing
+    needs_contact = tangent or phase.d >= 2 or not _crosses_normally(model, phase.d)
     if not needs_contact:
         children = _continue(model, ctx, depth)
         return _attach_prep(model, prep, phase, children, assumptions)
     chart = ChartMap(Center((n - 1,), n), n - 1)
-    divide = phase.d if phase.front_entry is None else 0
-    child_model = _chart_model(model, chart, divide, prepared=False)
+    child_model = _chart_model(model, chart, phase.d, prepared=False)
     _check_path_budget(ctx, depth + 1)
     node = _blowup_node(child_model, phase, prep, chart, assumptions)
     node.children = _continue(child_model, ctx, depth + 1)
@@ -1194,19 +1174,15 @@ def _monomial_loop(model, prep, phase, omegas, ctx, depth, assumptions):
 
 def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptions):
     """Blow up ``center`` in chart i and continue from the chart origin."""
-    n = model.nvars
-    m = n - 1
+    m = model.nvars - 1
     chart = ChartMap(center, i)
     if phase.front_entry is None:
         mu = order_along_center(model.g, center)
         if not mu.is_finite or mu.value != phase.d:
             raise AlgorithmError("the chosen center is not equimultiple for the hypersurface")
-    divide = phase.d if phase.front_entry is None else 0
-    child = _chart_model(model, chart, divide, prepared=True)
-    predicted = None
-    if i != m:
-        positions = [j for j in center.indices if j != m]
-        predicted = {k: om.updated(positions, i) for k, om in omegas.items()}
+    child = _chart_model(model, chart, phase.d, prepared=True)
+    positions = [j for j in center.indices if j != m]
+    predicted = {} if i == m else {k: om.updated(positions, i) for k, om in omegas.items()}
     _check_path_budget(ctx, depth + 1)
     budget = {"limit": phase.stretch_limit, "step": phase.stretch_step + 1}
     node = _blowup_node(child, phase, prep, chart, assumptions, budget)
@@ -1216,76 +1192,72 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
         )
     if phase.front_entry is None and child.d > phase.d:
         raise AlgorithmError("the order increased across a blow-up")
-    if phase.front_entry is None:
-        front_persists = child.d == phase.d
-    else:
-        front_persists = any(
-            e.eid == phase.front_entry for e in child.ledger.through_origin()
-        )
-    if i == m:
-        if phase.front_entry is None and child.d >= max(phase.d, 1):
-            raise AlgorithmError("the order failed to drop in the contact chart")
-        node.children = _continue(child, ctx, depth + 1)
-        return node
-    if not front_persists:
+    through = {e.eid for e in child.ledger.through_origin()}
+    front = phase.front_entry
+    front_persists = child.d == phase.d if front is None else front in through
+    if i == m and phase.front_entry is None and child.d >= max(phase.d, 1):
+        raise AlgorithmError("the order failed to drop in the contact chart")
+    if i == m or not front_persists:
         node.children = _continue(child, ctx, depth + 1)
         return node
     data = _collect_data(child, phase)
     if not data:
         node.children = _finish_phase_no_data(child, None, phase, ctx, depth + 1, [])
         return node
-    omegas2 = _omega_of(data, phase)
-    if predicted is not None:
-        for key, om in omegas2.items():
-            if key in predicted and predicted[key].entries != om.entries:
-                raise AlgorithmError(
-                    f"exponent bookkeeping mismatch at {key}: predicted "
-                    f"{predicted[key].entries}, recomputed {om.entries}"
-                )
+    omegas2, key = _omega_of(data, phase)
+    if omegas2 is None:
+        raise AlgorithmError(f"datum {key} is not monomial times unit")
+    for key, om in omegas2.items():
+        if key in predicted and predicted[key].entries != om.entries:
+            raise AlgorithmError(
+                f"exponent bookkeeping mismatch at {key}: predicted "
+                f"{predicted[key].entries}, recomputed {om.entries}"
+            )
     node.omega = _omega_json(omegas2, phase)
     _, om_min = least_omega(omegas2)
+    dropped = set(phase.old_ids) - through
     if om_min.total < om_min.scale:
         # the pair dropped here even though the front persisted: only possible
         # when an old exceptional departed; re-derive from scratch
-        through = {e.eid for e in child.ledger.through_origin()}
-        if all(eid in through for eid in phase.old_ids):
+        if not dropped:
             raise AlgorithmError("exponent data dropped but the pair persisted")
         node.children = _continue(child, ctx, depth + 1)
         return node
-    dropped = set(phase.old_ids) - {e.eid for e in child.ledger.through_origin()}
     if dropped:
-        new_phase = replace(
+        phase = replace(
             phase,
             old_ids=tuple(x for x in phase.old_ids if x not in dropped),
             stretch_limit=0,
             stretch_step=0,
         )
-        node.children = _monomial_loop(child, None, new_phase, omegas2, ctx, depth + 1, [])
-        return node
-    cont = replace(phase, stretch_step=phase.stretch_step + 1)
-    node.children = _monomial_loop(child, None, cont, omegas2, ctx, depth + 1, [])
+    else:
+        phase = replace(phase, stretch_step=phase.stretch_step + 1)
+    node.children = _monomial_loop(child, None, phase, omegas2, ctx, depth + 1, [])
     return node
 
 
 def _run_germ(g: Jet, ledger: ExceptionalLedger, ctx: _Ctx, depth: int):
-    """Entry point for one germ at the origin of the current frame."""
+    """Entry point for one germ at the origin of the current frame.  In the
+    monomial modes a germ that is already monomial times unit is a leaf, and
+    the draft leaves are then absorbed."""
     model = _model(g, ledger)
-    if ctx.mode in (MONOMIALIZE, RECTILINEARIZE) and not g.is_zero() and not len(ledger):
-        dec = g.monomial_unit_decompose()
-        if dec is not None:
-            alpha, _ = dec
-            return [
-                _leaf_node(model, passed=True, extra={"monomial_exponents": list(alpha)})
-            ]
-    return _continue(model, ctx, depth)
+    if ctx.mode == RESOLVE:
+        return _continue(model, ctx, depth)
+    dec = None if g.is_zero() or len(ledger) else g.monomial_unit_decompose()
+    if dec is None:
+        children = _continue(model, ctx, depth)
+    else:
+        children = [_leaf_node(model, passed=True, extra={"monomial_exponents": list(dec[0])})]
+    return _absorb_in_drafts(children)
 
 
-def _absorb_in_drafts(children, ctx: _Ctx):
+def _absorb_in_drafts(children):
     """Append contact blow-ups at draft leaves with a surviving strict transform.
 
-    Used in monomialization runs: the final identity blow-up is centered on
-    the smooth strict transform after a coordinate change that makes it a
-    coordinate, leaving the pullback a monomial times a unit.
+    ``_run_germ`` calls it on every run in the monomial modes, sub-runs of a
+    reduction included: the final identity blow-up is centered on the smooth
+    strict transform after a coordinate change that makes it a coordinate,
+    leaving the pullback a monomial times a unit.
     """
 
     def visit(node):
@@ -1333,10 +1305,7 @@ def _root_nodes(g: Jet, ctx: _Ctx):
         piece.pair = (model.d, model.s)
         piece.s_total = model.s
         piece.model = model
-        children = _run_germ(g0, ExceptionalLedger(), ctx, depth=0)
-        if ctx.mode in (MONOMIALIZE, RECTILINEARIZE):
-            children = _absorb_in_drafts(children, ctx)
-        piece.children = children
+        piece.children = _run_germ(g0, ExceptionalLedger(), ctx, depth=0)
         roots.append(piece)
     return roots
 
@@ -1447,8 +1416,9 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
     are rebuilt entry by entry, and the composed map (for the total transform
     and the Jacobian determinant) is carried forward with each blow-up's
     exceptional variable.  One preparation map per node serves all three.
-    The stored leaf snapshots must match the recomputation exactly, and the
-    tree must hold every chart of each blow-up it records.  An error raised
+    The stored leaf snapshots (and the composed map of a leaf read from tree
+    JSON) must match the recomputation exactly, and the tree must hold every
+    chart of each blow-up it records.  An error raised
     while replaying or auditing a node is raised again naming the node.
     """
     g_input = tree.input_jets[0]
@@ -1519,6 +1489,22 @@ def _strip_coordinate_factors(jet: Jet) -> Jet:
     return jet
 
 
+def _agree(a: Jet, b: Jet) -> bool:
+    """Whether two jets are equal at the smaller of their truncations."""
+    t = min(a.trunc, b.trunc)
+    return a.with_truncation(t) == b.with_truncation(t)
+
+
+def _times_powers(jet: Jet, powers) -> Jet:
+    """jet times pv**k for each (pv, k) of ``powers`` with k > 0, each
+    product at the smaller truncation of its factors."""
+    for pv, k in powers:
+        if k > 0:
+            t = min(jet.trunc, pv.trunc)
+            jet = jet.with_truncation(t) * (pv.with_truncation(t) ** k)
+    return jet
+
+
 def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
     """Check one leaf against the state the replay carried down its root path.
 
@@ -1527,7 +1513,11 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
     its exceptional variable pulled forward through every later step, in the
     leaf's coordinates at the composed map's truncation; ``peels`` holds the
     codimension of its center and the power divided out of the strict
-    transform there."""
+    transform there.
+
+    The strict transform, the ledger and (on a leaf read from tree JSON that
+    has one) the composed map the writer stored must match the replay.  Every
+    failed check appends a reason, and the leaf passes when there is none."""
     g_input = tree.input_jets[0]
     n = g_input.nvars
     composed = PolyMap(maps.components[:n])
@@ -1535,60 +1525,39 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
     reasons = []
     # stored-vs-recomputed comparison
     stored = leaf.leaf or {}
-    matches = True
     st = stored.get("strict_transform")
-    if st is not None:
-        t = min(st.trunc, strict.trunc)
-        if st.with_truncation(t) != strict.with_truncation(t):
-            matches = False
-            reasons.append("stored strict transform differs from the replay")
+    if st is not None and not _agree(st, strict):
+        reasons.append("stored strict transform differs from the replay")
     stored_ledger = stored.get("ledger")
     if stored_ledger is not None:
         if len(stored_ledger) != len(ledger):
-            matches = False
             reasons.append("stored ledger size differs from the replay")
         else:
             for a, b in zip(stored_ledger, ledger):
-                t = min(a.jet.trunc, b.jet.trunc)
-                if a.eid != b.eid or a.jet.with_truncation(t) != b.jet.with_truncation(t):
-                    matches = False
+                if a.eid != b.eid or not _agree(a.jet, b.jet):
                     reasons.append(f"ledger entry {a.eid} differs from the replay")
                     break
+    stored_map = leaf.composed_map
+    if stored_map is not None and stored_map != [_jet_json(c) for c in composed.components]:
+        reasons.append("stored composed map differs from the replay")
+    matches = not reasons
     # leaf conditions (mode dependent: resolution wants a smooth strict
     # transform, monomialization wants the whole pullback monomial)
     monomial_mode = tree.mode in (MONOMIALIZE, RECTILINEARIZE)
     strict_order = strict.order().value
-    if monomial_mode:
-        order_ok = True
-    else:
-        order_ok = strict.is_zero() or strict_order <= 1
-        if not order_ok:
-            reasons.append(f"strict transform has order {strict_order}")
-    grads_ok = True
-    if not monomial_mode and strict_order == 1 and all(
-        x == 0 for x in strict.gradient_at_zero()
-    ):
-        grads_ok = False
-        reasons.append("strict transform of order one has zero gradient")
+    smooth_check = not monomial_mode and not strict.is_zero()
+    if smooth_check and strict_order > 1:
+        reasons.append(f"strict transform has order {strict_order}")
     through = [e.jet for e in ledger.through_origin()]
-    if not monomial_mode and not strict.is_zero() and strict_order == 1:
-        rep = normal_crossings_check(through, extra=strict)
-    else:
-        rep = normal_crossings_check(through)
+    extra = strict if smooth_check and strict_order == 1 else None
+    rep = normal_crossings_check(through, extra=extra)
     crossings_ok = rep.ok
     if not rep.ok:
         reasons.append(f"normal crossings failed: {rep.reason}")
     # total transform: must equal the strict transform times the peeled
     # exceptional powers, and be monomial times unit in monomial modes
     total = substitute(g_input, composed)
-    rhs = strict
-    for pv, codim, power in exceptionals:
-        if power == 0:
-            continue
-        t = min(rhs.trunc, pv.trunc)
-        rhs = rhs.with_truncation(t) * (pv.with_truncation(t) ** power)
-    t = min(total.trunc, rhs.trunc)
-    total_ok = total.with_truncation(t) == rhs.with_truncation(t)
+    total_ok = _agree(total, _times_powers(strict, [(pv, p) for pv, _, p in exceptionals]))
     if not total_ok:
         reasons.append("total transform does not match strict times exceptionals")
     if monomial_mode and not total.is_zero():
@@ -1598,13 +1567,7 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
     # Jacobian determinant: chain-rule factorization over the charts
     det_jet = composed.jacobian_det()
     rhs = Jet.constant(dets, n, det_jet.trunc)
-    for pv, codim, _ in exceptionals:
-        if codim <= 1:
-            continue
-        t = min(rhs.trunc, pv.trunc)
-        rhs = rhs.with_truncation(t) * (pv.with_truncation(t) ** (codim - 1))
-    t = min(det_jet.trunc, rhs.trunc)
-    jac_ok = det_jet.with_truncation(t) == rhs.with_truncation(t)
+    jac_ok = _agree(det_jet, _times_powers(rhs, [(pv, c - 1) for pv, c, _ in exceptionals]))
     if not jac_ok:
         reasons.append("Jacobian determinant does not match its chart factorization")
     else:
@@ -1628,18 +1591,9 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
             if pf.is_zero() or pf.monomial_unit_decompose() is None:
                 factors_ok = False
                 reasons.append(f"input factor {k} is not monomial times unit")
-    passed = (
-        order_ok
-        and grads_ok
-        and crossings_ok
-        and total_ok
-        and jac_ok
-        and factors_ok
-        and matches
-    )
     return LeafAudit(
         leaf_id=leaf.nid,
-        passed=passed,
+        passed=not reasons,
         strict_order=strict_order,
         crossings_ok=crossings_ok,
         total_monomial=total_ok,

@@ -3,14 +3,14 @@
 Every speed-up of the kernel or the driver must leave ``to_json()`` byte for
 byte as it was.  These SHA-256 digests pin it for a few bundled inputs and
 one dense germ (whose drive runs ``implicit_solve`` on a dense jet), a
-3-variable monomialization whose absorb step swaps variables and shears, and
-two runs with base points off the origin, pin
-the terms of ``invert_map`` and ``inverse_majorant`` on fixed inputs, and
-pin a few ``compose_coefficient`` values on fixed tables; a
-change that alters the JSON on purpose (a new format) updates them in the
-same change and says why.  The output of ``resolvkit verify`` on each
-pinned tree is pinned too, since the verifier's replay is the path every
-correctness claim rests on.
+3-variable monomialization whose absorb step swaps variables and shears, a
+resolution whose phase ends in its contact blow-up, and two runs with base
+points off the origin, pin the terms of ``invert_map`` and
+``inverse_majorant`` on fixed inputs, and pin a few ``compose_coefficient``
+values on fixed tables; a change that alters the JSON on purpose (a new
+format) updates them in the same change and says why.  The output of
+``resolvkit verify`` on each pinned tree is pinned too, since the verifier's
+replay is the path every correctness claim rests on.
 """
 
 import hashlib
@@ -75,6 +75,13 @@ GOLDEN = [
         "68951199ccece101b0c608375a20a2af25a797102338f3af68df6e68aba52fe9",
         "9eba00c5874c83824136dd0f8f821e90be173a7ecf735cac6be2c48b2101e1bb",
         id="monomialize-z2-x2y",
+    ),
+    # no contact coefficient survives, so its phase ends in the contact blow-up
+    pytest.param(
+        "resolve", ["(y-x^2)^2"], 24,
+        "8a36b7d961f26724d4776e10519454facd01328e43caa275131b1af28ee9414e",
+        "f5f53bee62f34ab863fc725f6ea2f270cc44e48ea755ee60606aaac5e526275d",
+        id="resolve-double-parabola",
     ),
 ]
 

@@ -137,6 +137,14 @@ class TestCliRuns:
             assert code == 4
             assert text == "error: --depth must be nonnegative, not -3\n"
 
+    def test_dc_depth_below_two_is_raised_to_two(self):
+        _, at_two = run_cli(["dc", "custom:1,2,3", "--depth", "2"])
+        for depth in ("0", "1"):
+            code, text = run_cli(["dc", "custom:1,2,3", "--depth", depth])
+            assert code == 0
+            assert "None" not in text
+            assert text == at_two
+
     def test_compose(self):
         code, text = run_cli(["compose", "y^2", "x + x^2", "--gamma", "3"])
         assert code == 0
@@ -237,6 +245,20 @@ class TestCliRuns:
         code, text = run_cli(["verify", str(tmp_path / "cut.json")])
         assert code == 2
         assert "FAIL" in text
+
+    def test_verify_rejects_tampered_composed_map(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        leaf = next(nd for nd in data["nodes"] if nd["kind"] == "Leaf")
+        leaf["composed_map"][0]["terms"] = [[[5, 0], "7"]]
+        del leaf["composed_map"][1]
+        code, text = _verify_data(tmp_path, data)
+        assert code == 2
+        failing = [line for line in text.splitlines() if "FAIL" in line]
+        assert failing == [
+            f"leaf {leaf['id']}: FAIL (order=1, crossings=True, total=True, jacobian=True)"
+            " reasons=['stored composed map differs from the replay']"
+        ]
+        assert "verified: False" in text
 
     def test_rectilinearize_cli(self):
         code, text = run_cli(

@@ -7,6 +7,7 @@ import random
 from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
+from resolvkit import resolve
 from resolvkit.blowup import (
     Center,
     ChartMap,
@@ -412,6 +413,48 @@ class TestVerifyCatchesTruncatedTree:
         assert not rep.all_passed
         failing = rep.leaves[0]
         assert not failing.crossings_ok
+
+
+def _scaled_first_entry(ledger):
+    entries = list(ledger)
+    e = entries[0]
+    entries[0] = LedgerEntry(e.eid, e.jet.scale(Fraction(2)), e.origin)
+    return ExceptionalLedger(entries, ledger.watermark)
+
+
+class TestAuditRejectsPerturbedReplay:
+    """Each check of the leaf audit fails when one element of the replay
+    state handed to it is perturbed: (strict, ledger, maps, dets, peels)."""
+
+    @pytest.mark.parametrize("perturb, reason", [
+        (
+            lambda s, lg, m, d, p: (s * Jet.variable(0, 2, s.trunc) ** 2, lg, m, d, p),
+            "strict transform has order",
+        ),
+        (
+            lambda s, lg, m, d, p: (s, _scaled_first_entry(lg), m, d, p),
+            "ledger entry",
+        ),
+        (
+            lambda s, lg, m, d, p: (s, lg, m, d, tuple((c, w + 1) for c, w in p)),
+            "total transform does not match strict times exceptionals",
+        ),
+        (
+            lambda s, lg, m, d, p: (s, lg, m, 2 * d, p),
+            "Jacobian determinant does not match its chart factorization",
+        ),
+    ], ids=["order", "ledger", "total", "jacobian"])
+    def test_each_leaf_fails_with_the_reason(self, monkeypatch, perturb, reason):
+        audit = resolve._audit_leaf
+        monkeypatch.setattr(
+            resolve, "_audit_leaf", lambda tree, leaf, *state: audit(tree, leaf, *perturb(*state))
+        )
+        rep = verify_resolution(resolve_hypersurface(CUSP))
+        assert not rep.all_passed
+        assert [la.leaf_id for la in rep.leaves] == [4, 6, 8, 10]
+        for la in rep.leaves:
+            assert not la.passed
+            assert any(r.startswith(reason) for r in la.reasons), la.reasons
 
 
 class TestCommutation:

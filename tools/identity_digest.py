@@ -10,7 +10,8 @@
 3. ``extra``: over the ``corpus`` and ``verify`` digests of EXTRA, runs
    that reach every route a coordinate preparation takes: an absorb step
    with a swap matrix and a shear, covering pieces off the origin, and
-   lifted preparations (the last two runs exit 5).
+   lifted preparations (two runs that exit 5), and a phase that ends in its
+   contact blow-up.
 
 A refactor that must not change the output runs this on the parent commit
 and on the change and compares the three lines.  The script imports
@@ -43,6 +44,8 @@ EXTRA = [
      "--base-points", "0,0;0,1;1,0"],
     ["resolve", "z^3-x^2*y^2"],
     ["resolve", "z^2 - x^2 - y^3"],
+    ["resolve", "(y-x^2)^2"],
+    ["monomialize", "(y-x^2)^2"],
 ]
 
 
