@@ -418,6 +418,23 @@ class ResolutionTree:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The tree JSON of format ``/1`` as plain JSON values."""
+        return self._json_dict(_jet_json)
+
+    def to_json(self) -> str:
+        """The tree JSON of format ``/1``: exactly the text of
+        ``json.dumps(self.to_json_dict(), sort_keys=True, indent=1)``, with
+        sorted keys, one space of indent a level and non-ASCII characters
+        escaped, so that a tree's bytes are a stable digest.  Its jets stay
+        :class:`Jet` objects in the dict that :func:`_write_json` walks, which
+        writes each one's text straight from its packed numerators
+        (:meth:`Jet.json_text`)."""
+        out = []
+        _write_json(self._json_dict(lambda j: j), "", out)
+        return "".join(out)
+
+    def _json_dict(self, jet) -> dict:
+        """The tree JSON dict with every jet ``j`` written as ``jet(j)``."""
         # input coordinates as explicit formulas in each leaf's coordinates
         n = self.input_jets[0].nvars
 
@@ -444,13 +461,13 @@ class ResolutionTree:
 
         start = PolyMap.identity(n, self.input_jets[0].trunc)
         composed_maps = {
-            node.nid: [_jet_json(c) for c in composed.components]
+            node.nid: [jet(c) for c in composed.components]
             for node, composed in _walk(self, compose, start)
             if node.kind == KIND_LEAF
         }
         nodes = []
         for node in self.nodes:
-            nd = _node_json(node)
+            nd = _node_json(node, jet)
             if node.kind == KIND_LEAF:
                 nd["composed_map"] = composed_maps[node.nid]
             nodes.append(nd)
@@ -463,7 +480,7 @@ class ResolutionTree:
                 "parallel": False,  # fixed in format /1; the reader ignores it
             },
             "variables": list(self.var_names),
-            "input": [_jet_json(j) for j in self.input_jets],
+            "input": [jet(j) for j in self.input_jets],
             "nodes": nodes,
             "summary": {
                 "blowup_count": self.blowup_count,
@@ -473,15 +490,6 @@ class ResolutionTree:
                 "assumption_count": len(self.assumptions),
             },
         }
-
-    def to_json(self) -> str:
-        """The tree JSON of format ``/1``: exactly the text of
-        ``json.dumps(self.to_json_dict(), sort_keys=True, indent=1)``, with
-        sorted keys, one space of indent a level and non-ASCII characters
-        escaped, so that a tree's bytes are a stable digest."""
-        out = []
-        _write_json(self.to_json_dict(), "", out)
-        return "".join(out)
 
     def to_dot(self) -> str:
         lines = ["digraph resolution {", "  node [shape=box, fontsize=10];"]
@@ -509,30 +517,26 @@ class ResolutionTree:
         return "\n".join(lines) + "\n"
 
 
+# the text of a value of these exact types
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
 def _write_json(value, pad: str, out: list) -> None:
     """Append to ``out`` the text that ``json.dumps(value, sort_keys=True,
     indent=1)`` writes for ``value`` nested at the indent ``pad``.
 
     Only the types tree JSON holds are written: dicts with ``str`` keys,
-    lists, strings, ints, booleans and None.  Anything else, such as a float
-    or a non-``str`` key, raises TypeError."""
-    if isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + " "
-        sep = ",\n" + inner
-        if type(value[0]) is int and all(type(v) is int for v in value):  # exponents
-            out.append(f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]")
-            return
-        lead = "[\n" + inner
-        for v in value:
-            out.append(lead)
-            _write_json(v, inner, out)
-            lead = sep
-        out.append(f"\n{pad}]")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+    lists, strings, ints, booleans and None, and a :class:`Jet` as the object
+    :func:`_jet_json` makes of it.  Anything else, such as a float or a
+    non-``str`` key, raises TypeError."""
+    text = _JSON_SCALARS.get(type(value))
+    if text is not None:
+        out.append(text(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -546,14 +550,19 @@ def _write_json(value, pad: str, out: list) -> None:
             _write_json(value[key], inner, out)
             lead = ",\n" + inner
         out.append(f"\n{pad}}}")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + " "
+        lead = "[\n" + inner
+        for v in value:
+            out.append(lead)
+            _write_json(v, inner, out)
+            lead = ",\n" + inner
+        out.append(f"\n{pad}]")
+    elif isinstance(value, Jet):
+        out.append(value.json_text(pad))
     else:
         raise TypeError(f"tree JSON cannot hold a {type(value).__name__}")
 
@@ -563,38 +572,42 @@ def _jet_json(j: Jet) -> dict:
 
 
 def _jet_from_json(d, where: str) -> Jet:
-    """Read a jet through the validating ``Jet(...)``; a bad value raises
-    ValueError naming ``where``."""
+    """Read a jet with the checks of the validating ``Jet(...)``; a bad value
+    raises ValueError naming ``where``.  The coefficients are read as
+    integer ratios (:func:`_ratio`) and packed by :meth:`Jet.from_ratios`;
+    of two terms with one exponent, the later one is kept (``Jet(...)`` would
+    sum them)."""
     _require(d, ("nvars", "trunc", "terms"), where)
-    coeffs = {}
+    exponent, coefficient = f"an exponent of {where}", f"a coefficient of {where}"
+    ratios = {}
     for t in _list(d["terms"], f"the terms of {where}"):
         if not (isinstance(t, list) and len(t) == 2):
             raise ValueError(f"tree JSON: a term of {where} is not [exponents, coefficient]")
-        alpha = _ints(t[0], f"an exponent of {where}")
-        coeffs[alpha] = _rational(t[1], f"a coefficient of {where}")
+        alpha = _ints(t[0], exponent)
+        ratios[alpha] = _ratio(t[1], coefficient)
     nvars = _int(d["nvars"], f"nvars of {where}")
     trunc = _int(d["trunc"], f"trunc of {where}")
     try:
-        return Jet(nvars, trunc, coeffs)
+        return Jet.from_ratios(nvars, trunc, ratios)
     except ShapeError as exc:
         raise ValueError(f"tree JSON: {where}: {exc}") from None
 
 
-def _node_json(n: Node) -> dict:
+def _node_json(n: Node, jet) -> dict:
     prep = None
     if n.prep is not None and not n.prep.is_trivial:
         prep = {
             "matrix": None
             if n.prep.matrix is None
             else [[str(x) for x in row] for row in n.prep.matrix],
-            "shear": None if n.prep.shear is None else _jet_json(n.prep.shear),
+            "shear": None if n.prep.shear is None else jet(n.prep.shear),
         }
     leaf = None
     if n.leaf is not None:
         leaf = {k: v for k, v in n.leaf.items() if k not in ("strict_transform", "ledger")}
-        leaf["strict_transform"] = _jet_json(n.leaf["strict_transform"])
+        leaf["strict_transform"] = jet(n.leaf["strict_transform"])
         leaf["ledger"] = [
-            {"eid": e.eid, "origin": e.origin, "jet": _jet_json(e.jet)}
+            {"eid": e.eid, "origin": e.origin, "jet": jet(e.jet)}
             for e in n.leaf["ledger"]
         ]
     return {
@@ -617,7 +630,7 @@ def _node_json(n: Node) -> dict:
 
 
 _TREE_KEYS = ("format", "mode", "config", "variables", "input", "nodes")
-_NODE_KEYS = tuple(_node_json(Node(KIND_LEAF)))
+_NODE_KEYS = tuple(_node_json(Node(KIND_LEAF), _jet_json))
 
 
 def _require(d, keys, where: str):
@@ -646,13 +659,36 @@ def _rational(v, where: str) -> Fraction:
     if type(v) in (str, int):
         try:
             return Fraction(v)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"tree JSON: {where} is not a rational number")
 
 
+def _ratio(v, where: str) -> tuple[int, int]:
+    """The rational of :func:`_rational` as its numerator and a positive
+    denominator.  The writer's forms "p" and "p/q" (decimal digits, with a
+    leading minus sign on p) are read by ``int``; any other text goes
+    through :func:`_rational`."""
+    if type(v) is str:
+        num, slash, den = v.partition("/")
+        if (num.isdecimal() or num[:1] == "-" and num[1:].isdecimal()) and (
+            den.isdecimal() or not slash
+        ):
+            try:
+                p, q = int(num), int(den) if slash else 1
+                if q:
+                    return p, q
+            except ValueError:  # more digits than int() reads; Fraction fails too
+                pass
+    r = _rational(v, where)
+    return r.numerator, r.denominator
+
+
 def _ints(v, where: str) -> tuple:
-    return tuple(_int(x, where) for x in _list(v, where))
+    for x in _list(v, where):
+        if type(x) is not int:
+            _int(x, where)  # raises
+    return tuple(v)
 
 
 def _rationals(v, where: str) -> tuple:
@@ -676,7 +712,7 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
     id, a parent that does not precede its child, input jets in different
     frames, a base point of another length, a prep matrix that is not square
     of the frame's size or is singular, or a shear not in one variable fewer.
-    Jets are read through the validating ``Jet(...)``.
+    Jets are read with the checks of the validating ``Jet(...)``.
     """
     _require(data, _TREE_KEYS, "the tree")
     if data["format"] != TREE_FORMAT:

@@ -150,6 +150,41 @@ def _reduce(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     return nums, den
 
 
+def _ratio_of(c) -> tuple[int, int]:
+    c = _frac(c)
+    return c.numerator, c.denominator
+
+
+def _same(x):
+    return x
+
+
+def _pack_terms(nvars: int, trunc: int, terms, ratio) -> tuple[dict[int, int], int]:
+    """The canonical numerators and denominator of the jet with the terms
+    ``(alpha, c)`` of ``terms``: ``alpha`` a tuple of ints and ``ratio(c)``
+    the coefficient as an int numerator and a positive int denominator.
+
+    These are the rules of ``Jet(...)``: a bad multiindex raises ShapeError,
+    terms above the truncation drop before ``ratio`` reads them, zero terms
+    drop, and the terms of one exponent sum."""
+    _check_frame(nvars, trunc)
+    pack = _frame(nvars, trunc).pack
+    kept = []
+    for alpha, c in terms:
+        if len(alpha) != nvars or (alpha and min(alpha) < 0):
+            raise ShapeError(f"bad multiindex {alpha} for {nvars} variables")
+        if sum(alpha) <= trunc:
+            p, q = ratio(c)
+            if p:
+                kept.append((pack(alpha), p, q))
+    den = lcm(*[q for _, _, q in kept])
+    nums: dict[int, int] = {}
+    get = nums.get
+    for key, p, q in kept:
+        nums[key] = get(key, 0) + p * (den // q)
+    return _reduce(nums, den)
+
+
 def _mul_numerators(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int]:
     """Product of two packed numerator dicts, cut at the frame's ``limit``.
 
@@ -215,29 +250,21 @@ class Jet:
     __slots__ = ("nvars", "trunc", "_nums", "_den")
 
     def __init__(self, nvars: int, trunc: int, coeffs=None):
-        _check_frame(nvars, trunc)
-        frame = _frame(nvars, trunc)
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for alpha, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
-                alpha = tuple(int(a) for a in alpha)
-                if len(alpha) != nvars or any(a < 0 for a in alpha):
-                    raise ShapeError(f"bad multiindex {alpha} for {nvars} variables")
-                if sum(alpha) > trunc:
-                    continue
-                c = _frac(c)
-                if c == 0:
-                    continue
-                key = frame.pack(alpha)
-                prev = clean.get(key)
-                clean[key] = c if prev is None else prev + c
-                if clean[key] == 0:
-                    del clean[key]
-        nums, den = _common_den(clean)
+        terms = (coeffs.items() if isinstance(coeffs, dict) else coeffs) or ()
+        nums, den = _pack_terms(
+            nvars, trunc, ((tuple(int(a) for a in alpha), c) for alpha, c in terms), _ratio_of
+        )
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def from_ratios(cls, nvars: int, trunc: int, ratios: dict) -> "Jet":
+        """``Jet(nvars, trunc, {alpha: Fraction(p, q)})`` for the map
+        ``ratios`` from ``alpha`` (a tuple of ints) to ``(p, q)`` (ints,
+        ``q > 0``), packed without a Fraction."""
+        return cls._packed(nvars, trunc, *_pack_terms(nvars, trunc, ratios.items(), _same))
 
     @classmethod
     def _packed(cls, nvars: int, trunc: int, nums: dict[int, int], den: int) -> "Jet":
@@ -314,6 +341,30 @@ class Jet:
             g = gcd(v, den)
             out.append([list(unpack(k)), str(v // g) if g == den else f"{v // g}/{den // g}"])
         return out
+
+    def json_text(self, pad: str = "") -> str:
+        """The text of ``json.dumps({"nvars": nvars, "terms": json_terms(),
+        "trunc": trunc}, sort_keys=True, indent=1)`` nested at the indent
+        ``pad``, written term by term from the packed numerators: one format
+        call a term, with no lists built."""
+        p1 = pad + " "
+        p2, p3, p4 = p1 + " ", p1 + "  ", p1 + "   "
+        head = f'{{\n{p1}"nvars": {self.nvars},\n{p1}"terms": '
+        tail = f',\n{p1}"trunc": {self.trunc}\n{pad}}}'
+        nums, den = self._nums, self._den
+        if not nums:
+            return f"{head}[]{tail}"
+        frame = _frame(self.nvars, self.trunc)
+        offs, m = frame.offsets, frame.mask
+        exps = f"[\n{p4}" + f",\n{p4}".join(["{}"] * self.nvars) + f"\n{p3}]" if offs else "[]"
+        term = f"[\n{p3}{exps},\n{p3}\"{{}}\"\n{p2}]".format
+        out = []
+        for k in sorted(nums):
+            v = nums[k]
+            g = gcd(v, den)
+            coeff = v // g if g == den else f"{v // g}/{den // g}"
+            out.append(term(*[(k >> o) & m for o in offs], coeff))
+        return f"{head}[\n{p2}" + f",\n{p2}".join(out) + f"\n{p1}]{tail}"
 
     def support(self):
         unpack = _frame(self.nvars, self.trunc).unpack
@@ -594,9 +645,14 @@ class Jet:
         offs, m, w, limit = [frame.offsets[j] for j in others], frame.mask, frame.weights[i], frame.limit
         out = {}
         for k, v in self._nums.items():
-            key = k + sum((k >> o) & m for o in offs) * w
+            key = k
+            for o in offs:
+                key += ((k >> o) & m) * w
             if key < limit:
                 out[key] = v
+        if len(out) == len(self._nums):
+            # no term was cut, so the form is still canonical
+            return Jet._packed(self.nvars, self.trunc, out, self._den)
         return Jet._packed(self.nvars, self.trunc, *_reduce(out, self._den))
 
 
@@ -867,17 +923,32 @@ def _degree_part(jet: Jet, k: int, frame: _Frame) -> dict[int, int]:
     return src.rekey({key: v for key, v in jet._nums.items() if key >= low}, frame)
 
 
+def _raised(jet: Jet, trunc: int) -> Jet:
+    """``jet``'s terms in the frame of the larger truncation ``trunc``: the
+    jet whose terms above ``jet.trunc`` are zero."""
+    src = _frame(jet.nvars, jet.trunc)
+    nums = src.rekey(jet._nums, _frame(jet.nvars, trunc))
+    return Jet._packed(jet.nvars, trunc, nums, jet._den)
+
+
 def implicit_solve(z: Jet, i: int) -> Jet:
-    """Solve z = 0 for x_i near the origin by undetermined coefficients.
+    """Solve z = 0 for x_i near the origin by Newton iteration.
 
     Requires z(0) = 0 and a nonzero pivot dz/dx_i(0).  Returns the jet of the
     solution in the remaining variables (original order, x_i removed), at the
     truncation of ``z``; z(x, phi(x)) vanishes to that degree.
 
-    Round k (k = 1 .. T) substitutes the solution found so far, of degree
-    below k, into ``z`` at truncation k and cancels the degree-k defect, which
-    is all that round can certify; no round works beyond truncation k, and no
-    convergence test is needed.
+    With x' the remaining variables, phi is correct to degree t (from t = 0,
+    phi = 0) and v inverts u = dz/dx_i(x', phi) to degree h (from h = 0, v =
+    1 / pivot).  A step to degree t' = min(2t + 1, T) substitutes phi into
+    ``z`` at truncation t' and sets phi <- phi - z(x', phi) v.  The defect
+    z(x', phi) has order t + 1, so v is needed only to degree t' - t - 1, at
+    most t; when that is above h, v first becomes v (2 - u v), which doubles
+    its precision, at that degree.  The Newton error is the square of the old
+    one, of order 2t + 2, so after the step phi is correct to degree t'.  The
+    pivot makes the solution unique, so the result is the jet that cancelling
+    the defect degree by degree gives, term for term; no division of series
+    is needed.
     """
     if not 0 <= i < z.nvars:
         raise ShapeError(f"variable index {i} out of range")
@@ -893,26 +964,28 @@ def implicit_solve(z: Jet, i: int) -> Jet:
         # solution unique
         return rest
     m = n - 1
-    frame = _frame(m, T)
-    # phi / phi_den, keyed in frame; round k adds its degree-k terms
-    phi: dict[int, int] = {}
-    phi_den = 1
-    for k in range(1, T + 1):
-        fk = _frame(m, k)
-        comps = [Jet.variable(j, m, k) for j in range(m)]
-        comps.insert(i, Jet._packed(m, k, frame.rekey(phi, fk), phi_den))
-        r = substitute(z.with_truncation(k), comps)
-        # phi_k = -(r_k / r.den) / (pivot / z.den) = (-z.den r_k) / (r.den pivot)
-        den, factor = r._den * pivot, -z._den
-        if den < 0:
-            den, factor = -den, -factor
-        new = _degree_part(r, k, frame)
-        common = lcm(phi_den, den)
-        fa, fb = common // phi_den, factor * (common // den)
-        merged = {key: v * fa for key, v in phi.items()}
-        merged.update((key, v * fb) for key, v in new.items())
-        phi, phi_den = _reduce(merged, common)
-    return Jet._packed(m, T, phi, phi_den)
+    dz = z.partial(i)
+
+    def with_phi(phi: Jet) -> list[Jet]:
+        comps = [Jet.variable(j, m, phi.trunc) for j in range(m)]
+        comps.insert(i, phi)
+        return comps
+
+    phi, t = Jet.zero(m, 0), 0
+    v, h = Jet.constant(Fraction(z._den, pivot), m, 0), 0
+    while t < T:
+        t2 = min(2 * t + 1, T)
+        need = t2 - t - 1
+        if need > h:
+            u = substitute(dz.with_truncation(need), with_phi(phi.with_truncation(need)))
+            v = _raised(v, need)
+            v = v * (Jet.constant(2, m, need) - u * v)
+            h = need
+        phi = _raised(phi, t2)
+        defect = substitute(z.with_truncation(t2), with_phi(phi))
+        phi = phi - defect * _raised(v, t2)
+        t = t2
+    return phi
 
 
 def invert_map(g: PolyMap) -> PolyMap:

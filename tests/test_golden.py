@@ -5,8 +5,8 @@ byte as it was.  These SHA-256 digests pin it for a few bundled inputs and
 one dense germ (whose drive runs ``implicit_solve`` on a dense jet), a
 3-variable monomialization whose absorb step swaps variables and shears, a
 resolution whose phase ends in its contact blow-up, and two runs with base
-points off the origin, pin the terms of ``invert_map`` and
-``inverse_majorant`` on fixed inputs, and pin a few ``compose_coefficient``
+points off the origin, pin the terms of ``implicit_solve``, ``invert_map``
+and ``inverse_majorant`` on fixed inputs, and pin a few ``compose_coefficient``
 values on fixed tables; a change that alters the JSON on purpose (a new
 format) updates them in the same change and says why.  The output of
 ``resolvkit verify`` on each pinned tree is pinned too, since the verifier's
@@ -30,7 +30,7 @@ from resolvkit.resolve import (
     rectilinearize,
     resolve_hypersurface,
 )
-from resolvkit.series import Jet, PolyMap, invert_map
+from resolvkit.series import Jet, PolyMap, implicit_solve, invert_map
 
 RUNS = {
     "resolve": resolve_hypersurface,
@@ -153,6 +153,20 @@ def test_invert_map_digest():
     ])
     assert _terms_digest(invert_map(g).components) == (
         "601db07449d20b03026575dce858c5df3b44ac5a8dcecd3a84d34906fb8e5d86"
+    )
+
+
+def test_implicit_solve_digest():
+    # a dense 3-variable z with mixed denominators, solved for two of its
+    # variables, and a 2-variable z at a truncation above 63, where jets key
+    # their terms in wider digits
+    z3 = Jet(3, 20, {a: Fraction(a[0] - 2 * a[1] + 3 * a[2] + 1, 1 + (a[0] + 2 * a[2]) % 5)
+                     for a in product(range(4), repeat=3) if 1 <= sum(a) <= 3})
+    z2 = Jet(2, 70, {(0, 1): Fraction(-2, 3), (1, 0): Fraction(1, 2), (0, 2): Fraction(3, 4),
+                     (1, 1): -1, (3, 0): Fraction(5, 7), (0, 3): Fraction(1, 6)})
+    solutions = [implicit_solve(z3, 1), implicit_solve(z3, 2), implicit_solve(z2, 1)]
+    assert _terms_digest(solutions) == (
+        "05acca6dd6ee9926210afdaf2c9a5fbc98609496435c3aa95bc9edb4656cccc4"
     )
 
 

@@ -397,6 +397,50 @@ class TestMalformedTree:
         assert code == 4
         assert "input jet 0" in text
 
+    def test_coefficient_with_a_zero_denominator(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["input"][0]["terms"][0][1] = "3/0"
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (
+            4, "error: tree JSON: a coefficient of input jet 0 is not a rational number\n"
+        )
+
+    @pytest.mark.parametrize("coefficient", ["1" * 5000, "1/" + "7" * 5000])
+    def test_coefficient_with_more_digits_than_int_reads(self, tmp_path, coefficient):
+        data = _cusp_tree(tmp_path)
+        data["input"][0]["terms"][0][1] = coefficient
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (
+            4, "error: tree JSON: a coefficient of input jet 0 is not a rational number\n"
+        )
+
+    def test_base_point_with_a_zero_denominator(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        data["nodes"][0]["base_point"] = ["1/0", "0"]
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (
+            4, "error: tree JSON: the base point of node 0 is not a rational number\n"
+        )
+
+    def test_prep_matrix_entry_with_a_zero_denominator(self, tmp_path):
+        data, node = _umbrella_tree(tmp_path)
+        node["prep"]["matrix"][0][0] = "1/0"
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (
+            4, f"error: tree JSON: the matrix of node {node['id']} is not a rational number\n"
+        )
+
+    def test_coefficient_forms_that_are_not_the_writers(self, tmp_path):
+        # the writer's "p" and "p/q" are read by int(); any other form that
+        # Fraction reads is still accepted, and the tree still verifies
+        data = _cusp_tree(tmp_path)
+        terms = data["input"][0]["terms"]
+        assert [t[1] for t in terms] == ["1", "-1"]
+        terms[0][1], terms[1][1] = " 2/2 ", "-1.0"
+        code, text = _verify_data(tmp_path, data)
+        assert code == 0
+        assert "verified: True" in text
+
     def test_unknown_mode(self, tmp_path):
         data = _cusp_tree(tmp_path)
         data["mode"] = "bogus"

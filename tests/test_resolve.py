@@ -15,6 +15,7 @@ from resolvkit.blowup import (
     LedgerEntry,
     order_along_center,
 )
+from resolvkit.parse import parse_many
 from resolvkit.resolve import (
     AlgorithmError,
     OmegaScaled,
@@ -33,6 +34,7 @@ from resolvkit.resolve import (
     Preparation,
     _apply_prep_model,
     _complete_basis,
+    _jet_json,
     _lift_prep,
     _model,
     _write_json,
@@ -322,6 +324,15 @@ class TestDeterminismAndJson:
         ]
         assert rep1.all_passed and rep2.all_passed
 
+    def test_to_json_is_the_json_dumps_of_to_json_dict(self):
+        # to_json writes its jets from packed form; to_json_dict holds only
+        # plain JSON values
+        jets, names = parse_many(["(1 + 2*y - x^2)*(y^2-x^3)"], None, 20)
+        tree = resolve_hypersurface(jets[0], RunConfig(truncation=20), names)
+        data = tree.to_json_dict()
+        assert tree.to_json() == json.dumps(data, sort_keys=True, indent=1)
+        assert json.loads(json.dumps(data)) == data
+
     def test_dot_emission(self):
         dot = resolve_hypersurface(CUSP).to_dot()
         assert dot.startswith("digraph")
@@ -363,6 +374,13 @@ class TestJsonWriter:
     @example([[1, 2], [True, 2], [-(10**30)]])
     def test_matches_json_dumps(self, value):
         assert _written(value) == json.dumps(value, sort_keys=True, indent=1)
+
+    def test_writes_a_jet_as_its_json_object(self):
+        a = Jet(2, 70, {(0, 0): Fraction(-3, 4), (69, 1): 5, (1, 2): Fraction(1, 6)})
+        b, c = Jet.zero(3, 4), Jet(0, 2, {(): 7})
+        plain = {"b": [_jet_json(a), _jet_json(b)], "a": {"jet": _jet_json(c)}}
+        value = {"b": [a, b], "a": {"jet": c}}
+        assert _written(value) == json.dumps(plain, sort_keys=True, indent=1)
 
     @pytest.mark.parametrize(
         "value",

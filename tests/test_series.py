@@ -1,6 +1,8 @@
 """Jet arithmetic: contracts, worked examples, and randomized ring laws."""
 
 from fractions import Fraction
+from itertools import product
+import json
 from math import comb
 import random
 
@@ -206,6 +208,87 @@ class TestImplicitSolve:
             implicit_solve(jet2({(0, 2): 1}), 1)
         with pytest.raises(PivotError):
             implicit_solve(jet2({(0, 2): 1, (1, 2): 1}), 1)  # y^2 + x y^2
+
+
+def _homogeneous_product(a, b):
+    """Product of two homogeneous polynomials held as {exponents: Fraction}."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(p + q for p, q in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def reference_implicit_solve(z: Jet, i: int) -> dict:
+    """The solution phi of z(x', phi) = 0 by undetermined coefficients, in
+    Fractions, as {exponents: coefficient}: degree k of phi cancels degree k
+    of z(x', phi), where every term but the pivot's reads only the parts of
+    phi of degree below k.  ``powers[e][d]`` is the degree-d part of phi^e."""
+    T = z.trunc
+    zero = (0,) * (z.nvars - 1)
+    pivot = z.coeff(tuple(1 if j == i else 0 for j in range(z.nvars)))
+    terms = [(a[:i] + a[i + 1 :], a[i], c) for a, c in z.terms() if sum(a) != 1 or a[i] != 1]
+    top = max([e for _, e, _ in terms] + [1])
+    powers = [[{} for _ in range(T + 1)] for _ in range(top + 1)]
+    powers[0][0] = {zero: Fraction(1)}
+    for k in range(1, T + 1):
+        # phi has no constant term, so degree k of phi^e (e >= 2) reads only
+        # the parts of phi of degree below k
+        for e in range(2, top + 1):
+            acc = {}
+            for d1 in range(1, k):
+                for b, c in _homogeneous_product(powers[1][d1], powers[e - 1][k - d1]).items():
+                    acc[b] = acc.get(b, 0) + c
+            powers[e][k] = acc
+        defect = {}
+        for rest, e, c in terms:
+            d = k - sum(rest)
+            if d >= 0:
+                for b, cb in powers[e][d].items():
+                    key = tuple(p + q for p, q in zip(rest, b))
+                    defect[key] = defect.get(key, 0) + c * cb
+        powers[1][k] = {b: -c / pivot for b, c in defect.items() if c}
+    return {b: c for k in range(1, T + 1) for b, c in powers[1][k].items()}
+
+
+def _dense_z(nvars, i, T, seed):
+    """A dense z through 0 with pivot dz/dx_i(0) != 0 and mixed denominators,
+    with every term of degree up to 3 (so dz/dx_i depends on x_i)."""
+    rng = random.Random(seed)
+    coeffs = {
+        a: Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+        for a in product(range(4), repeat=nvars)
+        if 1 <= sum(a) <= 3
+    }
+    coeffs[tuple(1 if j == i else 0 for j in range(nvars))] = Fraction(-3, 7)
+    return Jet(nvars, T, coeffs)
+
+
+SCHEDULE_TRUNCATIONS = [1, 2, 3, 4, 7, 8, 15, 16, 31, 32]
+
+
+class TestImplicitSolveSchedule:
+    """The Newton iteration against undetermined coefficients at truncations
+    on and just past its doubling steps 1, 3, 7, 15, 31."""
+
+    @pytest.mark.parametrize(
+        "nvars, i, T",
+        [(2, i, T) for i in (1, 0) for T in SCHEDULE_TRUNCATIONS]
+        + [(3, 2, T) for T in SCHEDULE_TRUNCATIONS]
+        + [(3, 0, T) for T in SCHEDULE_TRUNCATIONS if T <= 16],
+    )
+    def test_matches_undetermined_coefficients(self, nvars, i, T):
+        z = _dense_z(nvars, i, T, seed=31 * nvars + T + i)
+        phi = implicit_solve(z, i)
+        assert phi.nvars == nvars - 1 and phi.trunc == T
+        assert dict(phi.terms()) == reference_implicit_solve(z, i)
+
+    def test_across_the_frame_width_change(self):
+        # truncation 66 keys jets in wider digits than 63, where the
+        # iteration before the last step stands
+        z = _dense_z(2, 1, 66, seed=5)
+        assert dict(implicit_solve(z, 1).terms()) == reference_implicit_solve(z, 1)
 
 
 class TestInvertMap:
@@ -611,6 +694,29 @@ class TestKernelProperties:
             beta[i] += sum(k[j] for j in others)
             want[tuple(beta)] = c
         assert ChartMap(Center(tuple(indices), n), i).pullback(a) == Jet(n, T, want)
+
+    @SETTINGS
+    @given(shapes().flatmap(jets), st.sampled_from(["", " ", "   "]))
+    def test_json_text_is_the_json_dumps_of_the_terms(self, a, pad):
+        value = {"nvars": a.nvars, "terms": a.json_terms(), "trunc": a.trunc}
+        text = json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + pad)
+        assert a.json_text(pad) == text
+
+    @SETTINGS
+    @given(shapes(), st.data())
+    def test_from_ratios_follows_the_rules_of_jet(self, shape, data):
+        # zeros and terms above the truncation drop; ratios need not be reduced
+        n, T = shape
+        exps = st.tuples(*[st.integers(0, T + 2) for _ in range(n)])
+        coeffs = data.draw(st.dictionaries(exps, RATIONALS, max_size=8))
+        scale = data.draw(st.integers(1, 6))
+        ratios = {alpha: (c.numerator * scale, c.denominator * scale) for alpha, c in coeffs.items()}
+        a = Jet.from_ratios(n, T, ratios)
+        assert_clean(a)
+        assert a == Jet(n, T, coeffs)
+        for bad in [(0,) * (n + 1), (-1,) + (0,) * (n - 1)]:
+            with pytest.raises(ShapeError):
+                Jet.from_ratios(n, T, {bad: (1, 1)})
 
     @SETTINGS
     @given(jet_tuples(2), NONZERO)

@@ -10,8 +10,10 @@
 3. ``extra``: over the ``corpus`` and ``verify`` digests of EXTRA, runs
    that reach every route a coordinate preparation takes: an absorb step
    with a swap matrix and a shear, covering pieces off the origin, and
-   lifted preparations (two runs that exit 5), and a phase that ends in its
-   contact blow-up.
+   lifted preparations (two runs that exit 5), a phase that ends in its
+   contact blow-up, and a run at truncation 70, whose ``implicit_solve``
+   calls (at truncations 69 and 67) cross the widening of exponent keys
+   above truncation 63.
 
 A refactor that must not change the output runs this on the parent commit
 and on the change and compares the three lines.  The script imports
@@ -46,6 +48,7 @@ EXTRA = [
     ["resolve", "z^2 - x^2 - y^3"],
     ["resolve", "(y-x^2)^2"],
     ["monomialize", "(y-x^2)^2"],
+    ["resolve", "(1+x+y)*(y^2-x^3)", "--truncation", "70"],
 ]
 
 
