@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .series import Jet, PolyMap, PivotError, invert_map, mat_inv, substitute
 
@@ -373,32 +373,35 @@ def inverse_majorant(n: int, r, a, b, m: GrowthSequence, depth: int) -> Jet:
         G = (r/m_1)(y_1 + ... + y_n) + Phi(G, ..., G),
         Phi(x) = sum_{|alpha| >= 2} n r a (m_1 b)^{|alpha|} x^alpha,
 
-    by undetermined coefficients: the degree-k part of G depends only on
-    lower-degree parts since Phi has order two.  Round k (k = 2 .. depth)
-    substitutes G cut to truncation k into Phi cut to truncation k and adds
-    the degree-k part, so no round works beyond the degree it certifies and
-    no convergence test is needed.  Every coefficient of G is nonnegative;
-    the degree-one coefficients are exactly r/m_1.
+    to degree ``depth``.  Every coefficient of Phi depends on |alpha| only,
+    and C(s + n - 1, n - 1) exponents alpha have |alpha| = s, so
+    Phi(x, ..., x) = sum_s c_s x^s with c_s = n r a (m_1 b)^s C(s + n - 1,
+    n - 1).  Hence G = g(y_1 + ... + y_n), where g solves the one-variable
+    equation g(t) = (r/m_1) t + sum_{s=2}^{depth} c_s g(t)^s: the composite
+    solves the n-variable system, whose solution is unique because its
+    degree-k part depends only on lower-degree parts (Phi has order two).  So
+    the jet is the one the n-variable solve gives, term for term, and its
+    coefficients are G_gamma = g_|gamma| |gamma|!/gamma!.
+
+    g is found by undetermined coefficients: round k (k = 2 .. depth)
+    substitutes g cut to truncation k into the series of the c_s cut to
+    truncation k and adds the degree-k part, so no round works beyond the
+    degree it certifies and no convergence test is needed.  Then g is
+    expanded once at y_1 + ... + y_n.  Every coefficient of G is
+    nonnegative; the degree-one coefficients are exactly r/m_1.
     """
     r, a, b = Fraction(r), Fraction(a), Fraction(b)
     if r <= 0 or a <= 0 or b <= 0:
         raise ValueError("constants must be positive")
     m1 = m.term(1)
-    linear = Jet(
-        n, depth, {tuple(1 if j == i else 0 for j in range(n)): r / m1 for i in range(n)}
-    )
-    phi_coeffs = {}
-    from itertools import product as iproduct
-
-    for alpha in iproduct(range(depth + 1), repeat=n):
-        s = sum(alpha)
-        if 2 <= s <= depth:
-            phi_coeffs[alpha] = n * r * a * (m1 * b) ** s
-    phi = Jet(n, depth, phi_coeffs)
-    G = linear
+    phi = Jet(1, depth, {(s,): n * r * a * (m1 * b) ** s * comb(s + n - 1, n - 1)
+                         for s in range(2, depth + 1)})
+    g = Jet(1, depth, {(1,): r / m1})
     for k in range(2, depth + 1):
-        step = substitute(phi.with_truncation(k), [G.with_truncation(k)] * n)
-        G = G + Jet(n, depth, {a: v for a, v in step.terms() if sum(a) == k})
+        step = substitute(phi.with_truncation(k), [g.with_truncation(k)])
+        g = g + Jet(1, depth, {(k,): step.coeff((k,))})
+    total = Jet(n, depth, {tuple(int(j == i) for j in range(n)): 1 for i in range(n)})
+    G = substitute(g, [total])
     for alpha, coeff in G.terms():
         if coeff < 0:
             raise AssertionError(f"majorant coefficient at {alpha} is negative")

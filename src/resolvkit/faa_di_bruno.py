@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import le, sub
 
 from .series import Jet, Multiindex, grlex_key, substitute
@@ -272,28 +272,22 @@ def majorant_coefficient(lam, n: int, p: int, gamma) -> Fraction:
 
 
 def majorant_series(lam, n: int, p: int, trunc: int) -> Jet:
-    """Closed-form oracle: F(G, ..., G) expanded as a jet in n variables."""
+    """Closed-form oracle: F(G, ..., G) expanded as a jet in n variables.
+
+    F(z) = prod_j 1/(1 - lam z_j) in p variables takes the same value G in
+    every argument, so F(G, ..., G) = (1 - lam G)^{-p} = f(G) with the
+    one-variable series f(w) = sum_k C(k + p - 1, p - 1) lam^k w^k.  G(u) =
+    prod_i 1/(1 - u_i) - 1 is the sum of u^alpha over every nonzero alpha.
+    Both are exact to degree ``trunc`` and G has no constant term, so f(G)
+    is the jet that substituting G into the dense p-variable F gives, term
+    for term.
+    """
     lam = Fraction(lam)
-    one = Jet.constant(1, n, trunc)
-    geo = one
-    for i in range(n):
-        gi = Jet.zero(n, trunc)
-        for e in range(trunc + 1):
-            gi = gi + Jet.monomial(
-                tuple(e if j == i else 0 for j in range(n)), 1, trunc
-            )
-        geo = geo * gi
-    G = geo - one
-    # F(z) = prod_j 1/(1 - lam z_j) as a jet in p variables
-    F = Jet.constant(1, p, trunc)
-    for j in range(p):
-        fj = Jet.zero(p, trunc)
-        for e in range(trunc + 1):
-            fj = fj + Jet.monomial(
-                tuple(e if i == j else 0 for i in range(p)), lam**e, trunc
-            )
-        F = F * fj
-    return substitute(F, [G] * p)
+    f = Jet(1, trunc, {(k,): comb(k + p - 1, p - 1) * lam**k for k in range(trunc + 1)})
+    G = Jet(n, trunc, {
+        alpha: 1 for alpha in product(range(trunc + 1), repeat=n) if 0 < sum(alpha) <= trunc
+    })
+    return substitute(f, [G])
 
 
 def jet_to_table(f: Jet) -> CoefficientTable:

@@ -574,9 +574,9 @@ def _jet_json(j: Jet) -> dict:
 def _jet_from_json(d, where: str) -> Jet:
     """Read a jet with the checks of the validating ``Jet(...)``; a bad value
     raises ValueError naming ``where``.  The coefficients are read as
-    integer ratios (:func:`_ratio`) and packed by :meth:`Jet.from_ratios`;
-    of two terms with one exponent, the later one is kept (``Jet(...)`` would
-    sum them)."""
+    integer ratios (:func:`_ratio`) and packed by :meth:`Jet.from_ratios`.
+    An exponent listed twice is a ValueError: the writer lists each once, and
+    ``Jet(...)`` would sum such terms where a plain map keeps the later one."""
     _require(d, ("nvars", "trunc", "terms"), where)
     exponent, coefficient = f"an exponent of {where}", f"a coefficient of {where}"
     ratios = {}
@@ -584,6 +584,8 @@ def _jet_from_json(d, where: str) -> Jet:
         if not (isinstance(t, list) and len(t) == 2):
             raise ValueError(f"tree JSON: a term of {where} is not [exponents, coefficient]")
         alpha = _ints(t[0], exponent)
+        if alpha in ratios:
+            raise ValueError(f"tree JSON: {where} lists exponent {list(alpha)} twice")
         ratios[alpha] = _ratio(t[1], coefficient)
     nvars = _int(d["nvars"], f"nvars of {where}")
     trunc = _int(d["trunc"], f"trunc of {where}")
@@ -711,8 +713,9 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
     unknown mode, a missing key, a value of the wrong type, a duplicate node
     id, a parent that does not precede its child, input jets in different
     frames, a base point of another length, a prep matrix that is not square
-    of the frame's size or is singular, or a shear not in one variable fewer.
-    Jets are read with the checks of the validating ``Jet(...)``.
+    of the frame's size or is singular, a shear not in one variable fewer, or
+    a jet that lists one exponent twice.  Jets are read with the checks of
+    the validating ``Jet(...)``.
     """
     _require(data, _TREE_KEYS, "the tree")
     if data["format"] != TREE_FORMAT:

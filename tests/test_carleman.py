@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from resolvkit.carleman import (
@@ -215,6 +216,25 @@ class TestCompositionConstants:
 POSITIVE = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), 1, Fraction(5, 2)])
 
 
+def dense_inverse_majorant(n, r, a, b, m, depth):
+    """Reference: the same system solved in n variables, substituting G into
+    the dense Phi (one term per alpha with 2 <= |alpha| <= depth) once a
+    degree, with no use of its symmetry."""
+    r, a, b, m1 = Fraction(r), Fraction(a), Fraction(b), m.term(1)
+    G = Jet(n, depth, {
+        tuple(1 if j == i else 0 for j in range(n)): r / m1 for i in range(n)
+    })
+    phi = Jet(n, depth, {
+        alpha: n * r * a * (m1 * b) ** sum(alpha)
+        for alpha in product(range(depth + 1), repeat=n)
+        if 2 <= sum(alpha) <= depth
+    })
+    for k in range(2, depth + 1):
+        step = substitute(phi.with_truncation(k), [G.with_truncation(k)] * n)
+        G = G + Jet(n, depth, {al: v for al, v in step.terms() if sum(al) == k})
+    return G
+
+
 class TestInverseMajorant:
     @settings(max_examples=30, deadline=None, database=None, derandomize=True)
     @given(
@@ -235,6 +255,36 @@ class TestInverseMajorant:
         })
         assert G.trunc == depth
         assert G == linear + substitute(phi, [G] * n)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 4), st.integers(0, 9), POSITIVE, POSITIVE, POSITIVE,
+        st.sampled_from(FAMILIES),
+    )
+    # the draws rarely reach the top of both ranges, where the dense solve is slow
+    @example(1, 9, Fraction(5, 2), Fraction(2, 3), 1, GEVREY_TWO)
+    @example(2, 9, Fraction(1, 2), Fraction(5, 2), Fraction(3, 4), FACTORIAL)
+    @example(3, 9, Fraction(2, 3), 1, Fraction(5, 2), GEVREY_HALF)
+    @example(4, 7, Fraction(3, 4), Fraction(1, 2), Fraction(2, 3), CONST)
+    def test_matches_dense_solve(self, n, depth, r, a, b, m):
+        assert inverse_majorant(n, r, a, b, m, depth) == dense_inverse_majorant(
+            n, r, a, b, m, depth
+        )
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(1, 4), st.integers(0, 9), POSITIVE, POSITIVE, POSITIVE,
+        st.sampled_from(FAMILIES),
+    )
+    def test_symmetric_in_the_variables(self, n, depth, r, a, b, m):
+        """G_gamma = g_|gamma| |gamma|!/gamma!, with g_s the coefficient of y_1^s."""
+        G = inverse_majorant(n, r, a, b, m, depth)
+        for gamma in product(range(depth + 1), repeat=n):
+            s = sum(gamma)
+            if s > depth:
+                continue
+            multinomial = factorial(s) // prod(factorial(x) for x in gamma)
+            assert G.coeff(gamma) == G.coeff((s,) + (0,) * (n - 1)) * multinomial
 
     def test_linear_coefficients(self):
         G = inverse_majorant(2, Fraction(3), 1, 1, FACTORIAL, 5)

@@ -266,7 +266,32 @@ def _small_gammas(n, bound):
     return out
 
 
+def dense_majorant_series(lam, n, p, T):
+    """Reference: G(u) = prod 1/(1 - u_i) - 1 and the dense p-variable
+    F(z) = prod 1/(1 - lam z_j), both built as products of geometric series,
+    and F(G, ..., G) by substitution."""
+    lam = Fraction(lam)
+
+    def geometric(nvars, i, ratio):
+        return Jet(nvars, T, {
+            tuple(e if j == i else 0 for j in range(nvars)): ratio**e for e in range(T + 1)
+        })
+
+    G = Jet.constant(1, n, T)
+    for i in range(n):
+        G = G * geometric(n, i, 1)
+    F = Jet.constant(1, p, T)
+    for j in range(p):
+        F = F * geometric(p, j, lam)
+    return substitute(F, [G - Jet.constant(1, n, T)] * p)
+
+
 class TestMajorant:
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), 1, Fraction(7, 3)])
+    def test_matches_dense_substitution(self, lam):
+        for n, p, T in product((1, 2, 3), (1, 2, 3), (0, 1, 3, 6)):
+            assert majorant_series(lam, n, p, T) == dense_majorant_series(lam, n, p, T), (n, p, T)
+
     def test_gamma_zero(self):
         assert majorant_coefficient(1, 2, 2, (0, 0)) == 1
 

@@ -397,6 +397,16 @@ class TestMalformedTree:
         assert code == 4
         assert "input jet 0" in text
 
+    def test_exponent_listed_twice(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        terms = data["input"][0]["terms"]
+        assert terms[0] == [[2, 0], "1"]
+        terms.insert(0, [[2, 0], "5"])
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (
+            4, "error: tree JSON: input jet 0 lists exponent [2, 0] twice\n"
+        )
+
     def test_coefficient_with_a_zero_denominator(self, tmp_path):
         data = _cusp_tree(tmp_path)
         data["input"][0]["terms"][0][1] = "3/0"

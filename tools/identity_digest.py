@@ -1,4 +1,4 @@
-"""Print three SHA-256 digests that pin resolvkit's output byte for byte.
+"""Print four SHA-256 digests that pin resolvkit's output byte for byte.
 
     python3 tools/identity_digest.py
 
@@ -14,9 +14,16 @@
    contact blow-up, and a run at truncation 70, whose ``implicit_solve``
    calls (at truncations 69 and 67) cross the widening of exponent keys
    above truncation 63.
+4. ``class``: over the ``repr`` of the full result of every case of
+   ``bench/corpus.class_calculus_inputs`` seeds 1 and 2: the value of
+   ``compose_coefficient``, the terms of ``invert_map``, and for a
+   domination case the ``ok`` flag and failures of
+   ``check_inverse_domination`` (Gevrey order 1) with the terms of the G
+   that ``inverse_majorant`` gives on the constants it extracts; then the
+   terms of ``majorant_series`` on each of MAJORANTS.
 
 A refactor that must not change the output runs this on the parent commit
-and on the change and compares the three lines.  The script imports
+and on the change and compares the four lines.  The script imports
 resolvkit from this checkout's ``src/`` and only reads ``bench/corpus.py``
 (and the ``bench/oracle.py`` it imports).
 """
@@ -27,15 +34,24 @@ import hashlib
 import io
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no cache files under bench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from corpus import resolve_corpus  # noqa: E402
+from corpus import ComposeCase, class_calculus_inputs, resolve_corpus  # noqa: E402
 
+from resolvkit.carleman import (  # noqa: E402
+    GrowthSequence,
+    check_inverse_domination,
+    extract_inverse_constants,
+    inverse_majorant,
+)
 from resolvkit.cli import main  # noqa: E402
+from resolvkit.faa_di_bruno import compose_coefficient, majorant_series  # noqa: E402
+from resolvkit.series import Jet, PolyMap, invert_map  # noqa: E402
 
 SEEDS = (1, 2)
 EXTRA = [
@@ -49,6 +65,13 @@ EXTRA = [
     ["resolve", "(y-x^2)^2"],
     ["monomialize", "(y-x^2)^2"],
     ["resolve", "(1+x+y)*(y^2-x^3)", "--truncation", "70"],
+]
+# (lambda, n, p, truncation) for majorant_series
+MAJORANTS = [
+    (Fraction(1, 2), 1, 3, 8),
+    (1, 2, 2, 6),
+    (Fraction(7, 3), 3, 3, 6),
+    (Fraction(3, 2), 3, 1, 7),
 ]
 
 
@@ -69,6 +92,26 @@ def _hash_runs(argvs, path):
     return runs.hexdigest(), verify.hexdigest()
 
 
+def _class_result(case, m):
+    if isinstance(case, ComposeCase):
+        return compose_coefficient(case.f_table, list(case.g_tables), case.gamma)
+    g = PolyMap([Jet(2, case.trunc, c) for c in case.comps])
+    if case.kind == "invert":
+        return [c.terms() for c in invert_map(g).components]
+    G = inverse_majorant(len(g), *extract_inverse_constants(g, m), m, case.trunc)
+    return check_inverse_domination(g, m, case.trunc), G.terms()
+
+
+def class_digest():
+    m, digest = GrowthSequence.gevrey(1), hashlib.sha256()
+    for seed in SEEDS:
+        for case in class_calculus_inputs(seed):
+            digest.update(repr(_class_result(case, m)).encode())
+    for args in MAJORANTS:
+        digest.update(repr((args, majorant_series(*args).terms())).encode())
+    return digest.hexdigest()
+
+
 def digests():
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "tree.json")
@@ -77,7 +120,12 @@ def digests():
         extra = hashlib.sha256(
             "".join(_hash_runs([argv + ["--emit", "json"] for argv in EXTRA], path)).encode()
         )
-    return {"corpus": corpus_runs, "verify": corpus_verify, "extra": extra.hexdigest()}
+    return {
+        "corpus": corpus_runs,
+        "verify": corpus_verify,
+        "extra": extra.hexdigest(),
+        "class": class_digest(),
+    }
 
 
 if __name__ == "__main__":
