@@ -357,11 +357,6 @@ def composition_constants(a, b, c, d, m1, n: int, p: int, depth: int = 8) -> Com
         # smallest integer t with C t^k >= coeff
         while C * Fraction(D) ** k < coeff:
             D += 1
-    # rescan: growing D for high k keeps low-k bounds valid, but be safe
-    for gamma, coeff in H.terms():
-        k = sum(gamma)
-        if k and C * Fraction(D) ** k < coeff:
-            raise AssertionError("certified constants failed a rescan")
     return CompositionConstants(C, Fraction(D), depth)
 
 

@@ -5,11 +5,12 @@ emitting JSON/DOT/text artifacts), compose (composite-series coefficient with
 an independent cross-check), dc (growth-sequence analysis), and verify
 (re-audit of a stored tree).
 
-Exit codes: 0 success with all checks passed, 2 checks failed (a report is
-still emitted), 3 truncation or blow-up budget exhausted, 4 input error
-(including a malformed tree JSON, a tree whose replay in ``verify`` breaks an
-invariant of the algorithm, and a bad command line), 5 an internal invariant
-of the algorithm failed in a run (the input is not yet supported).
+Exit codes: 0 success with all checks passed, 2 a verifier or compose check
+failed (a report is still emitted), 3 truncation or blow-up budget
+exhausted, 4 input error (including a malformed tree JSON, a tree whose
+replay in ``verify`` breaks an invariant of the algorithm, and a bad command
+line), 5 an internal invariant of the algorithm failed in a run (the input
+is not yet supported).
 All output is deterministic: maps are serialized in sorted key order.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -52,18 +52,6 @@ EXIT_RESOURCES = 3
 EXIT_INPUT = 4
 EXIT_ALGORITHM = 5
 
-ENV_TRUNCATION = "RESOLVKIT_TRUNCATION"
-
-
-def _default_truncation() -> int:
-    raw = os.environ.get(ENV_TRUNCATION)
-    if raw is None:
-        return 24
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"invalid {ENV_TRUNCATION}={raw!r}")
-
 
 class UsageError(Exception):
     """A bad command line: an input error, not argparse's exit 2."""
@@ -91,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("expr", help="polynomial expression, e.g. 'y^2 - x^3'")
         p.add_argument("--vars", help="comma-separated variable order")
-        p.add_argument("--truncation", type=int, default=None)
-        p.add_argument("--max-blowups", type=int, default=64)
+        p.add_argument("--truncation", type=int, default=RunConfig.truncation)
+        p.add_argument("--max-blowups", type=int, default=RunConfig.max_blowups)
         p.add_argument(
             "--base-points",
             help="semicolon-separated rational points, e.g. '0,0;1,0'",
@@ -109,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("outer", help="outer series, e.g. 'y^2'")
     pc.add_argument("inner", help="comma-separated inner components, e.g. 'x + x^2'")
     pc.add_argument("--gamma", required=True, help="target exponent, e.g. '3' or '2,1'")
-    pc.add_argument("--truncation", type=int, default=None)
+    pc.add_argument("--truncation", type=int, default=RunConfig.truncation)
 
     pd = sub.add_parser("dc", help="growth-sequence analysis")
     pd.add_argument("family", help="constant | gevrey:<s> | custom:<comma-list>")
@@ -176,7 +164,7 @@ def _emit_tree(tree, report, args, out):
 
 
 def _cmd_run(args, mode, out):
-    trunc = args.truncation if args.truncation is not None else _default_truncation()
+    trunc = args.truncation
     var_names = [v.strip() for v in args.vars.split(",")] if args.vars else None
     if mode == RECTILINEARIZE:
         jets, names = parse_many(args.exprs, var_names, trunc)
@@ -198,13 +186,11 @@ def _cmd_run(args, mode, out):
     _emit_tree(tree, report, args, out)
     if report is not None and not report.all_passed:
         return EXIT_CHECKS_FAILED
-    if not tree.all_leaves_passed:
-        return EXIT_CHECKS_FAILED
     return EXIT_OK
 
 
 def _cmd_compose(args, out):
-    trunc = args.truncation if args.truncation is not None else _default_truncation()
+    trunc = args.truncation
     inner_texts = [t.strip() for t in args.inner.split(",")]
     inner, names = parse_many(inner_texts, None, trunc)
     outer, outer_names = parse_polynomial(args.outer, None, trunc)

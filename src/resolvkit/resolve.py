@@ -330,7 +330,6 @@ class Node:
     assumptions: list = ()
     budget: dict | None = None
     leaf: dict | None = None
-    model: LocalModel | None = None
     nid: int | None = None
     parent_id: int | None = None
     blowup_index: int = 0
@@ -820,15 +819,22 @@ class _Ctx:
 
 @dataclass(frozen=True)
 class _PhaseState:
-    d: int  # strict-transform multiplicity at phase start (0 when the front
-    # is an exceptional equation)
-    scale: int
+    """What a phase fixes at its start: the order d (0 on the exceptional
+    front ``front_entry``), the old exceptionals and active contact
+    coefficients whose data it reduces, the pair it must not exceed, and the
+    budget of the current stretch of monomial blow-ups with the steps spent."""
+
+    d: int
     front_entry: int | None
     old_ids: tuple
     c_keys: tuple
     start_pair: tuple
     stretch_limit: int = 0
     stretch_step: int = 0
+
+    @property
+    def scale(self) -> int:  # 1 on an exceptional front, as 0! = 1! = 1
+        return factorial(self.d)
 
 
 def _transform_ledger(ledger: ExceptionalLedger, chart: ChartMap, trunc: int):
@@ -879,7 +885,6 @@ def _blowup_node(model, phase, prep, chart, assumptions, budget=None):
         s_total=model.s,
         assumptions=assumptions,
         budget=budget,
-        model=model,
     )
 
 
@@ -890,49 +895,52 @@ def _check_path_budget(ctx: _Ctx, depth: int):
         )
 
 
-def _leaf_node(model: LocalModel, passed: bool, extra=None, assumptions=()):
+def _leaf_node(model: LocalModel, assumptions=(), **extra):
+    """The leaf at an origin whose checks the driver passed; ``extra`` adds
+    keys to its leaf checks."""
     checks = {
         "strict_order": model.g.order().value,
-        "crossings_ok": passed,
-        "passed": passed,
+        "crossings_ok": True,
+        "passed": True,
         "strict_transform": model.g,
         "ledger": list(model.ledger),
+        **extra,
     }
-    if extra:
-        checks.update(extra)
     return Node(
         KIND_LEAF,
         pair=(model.d, model.s),
         s_total=model.s,
         leaf=checks,
-        model=model,
         assumptions=assumptions,
     )
 
 
 def _continue(model: LocalModel, ctx: _Ctx, depth: int):
-    """Decide what happens at this chart origin; returns the child drafts."""
+    """Decide what happens at this chart origin; returns the child nodes.
+
+    For d <= 1 one crossings report decides: when it passes, the origin is a
+    leaf, and in the monomial modes a strict transform of order one is
+    absorbed there at once (:func:`_absorb`).  Otherwise a phase starts, on
+    the strict transform or, when d is 0, on the newest exceptional."""
     g = model.g
     if g.is_zero():
-        return [
-            _leaf_node(
-                model,
-                passed=True,
-                extra={"degenerate_zero": True},
-                assumptions=[f"input treated as 0 (certified to degree {g.trunc})"],
-            )
-        ]
-    if model.d <= 1 and _crosses_normally(model, model.d):
-        return [_leaf_node(model, passed=True)]
+        assumption = f"input treated as 0 (certified to degree {g.trunc})"
+        return [_leaf_node(model, [assumption], degenerate_zero=True)]
+    if model.d <= 1:
+        crossings = _crossings(model, model.d)
+        if crossings.ok:
+            if model.d == 1 and ctx.mode != RESOLVE:
+                return [_absorb(model, crossings)]
+            return [_leaf_node(model)]
     front = max(e.eid for e in model.ledger.through_origin()) if model.d == 0 else None
     return _phase(model, ctx, depth, front_entry=front)
 
 
-def _crosses_normally(model: LocalModel, d: int) -> bool:
-    """Whether the exceptionals through the origin cross normally, together
+def _crossings(model: LocalModel, d: int):
+    """The crossings report of the exceptionals through the origin, together
     with the strict transform when ``d`` is 1."""
     through = [e.jet for e in model.ledger.through_origin()]
-    return normal_crossings_check(through, extra=model.g if d == 1 else None).ok
+    return normal_crossings_check(through, extra=model.g if d == 1 else None)
 
 
 def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
@@ -949,7 +957,6 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
         prepped = replace(model, prepared=True)
         if not prep.is_trivial:
             prepped = _apply_prep_model(model, prep)
-    scale = factorial(d_front)
     assumptions = []
     cs, bs = coefficient_data(prepped, d_front)
     bs.pop(front_entry, None)
@@ -965,22 +972,19 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
             assumptions.append(
                 f"exceptional restriction id={eid} treated as 0 (certified to degree {t})"
             )
-    active_c = tuple(q for q, mf in sorted(cs.items()) if mf is not None)
-    active_b = tuple(eid for eid, mf in sorted(bs.items()) if mf is not None)
     old_ids = tuple(
         e.eid for e in prepped.ledger.through_origin() if e.eid != front_entry
     )
     phase = _PhaseState(
         d=prepped.d if front_entry is None else 0,
-        scale=scale,
         front_entry=front_entry,
         old_ids=old_ids,
-        c_keys=active_c,
+        c_keys=tuple(q for q, mf in sorted(cs.items()) if mf is not None),
         start_pair=(prepped.d, len(old_ids)),
     )
-    if not active_c and not active_b:
-        return _finish_phase_no_data(prepped, prep, phase, ctx, depth, assumptions)
     data = _active_data(cs, bs, phase)
+    if not data:
+        return _finish_phase_no_data(prepped, prep, phase, ctx, depth, assumptions)
     omegas, comparable = _omega_of(data, phase)
     if omegas is not None and comparable:
         return _monomial_loop(prepped, prep, phase, omegas, ctx, depth, assumptions)
@@ -992,11 +996,6 @@ def _check_trunc(g: Jet, need: int):
         raise TruncationError(
             f"certified degree {g.trunc} is too small (need at least {need})"
         )
-
-
-def _collect_data(prepped: LocalModel, phase: _PhaseState):
-    """Re-derive the active marked data from the current model (ground truth)."""
-    return _active_data(*coefficient_data(prepped, phase.d), phase)
 
 
 def _active_data(cs, bs, phase: _PhaseState):
@@ -1076,7 +1075,7 @@ def _reduce_then_loop(prepped, prep, phase, data, ctx, depth, assumptions):
     """Monomialize the data by a lower-dimensional run, lifted chart by chart."""
     prod_jet = _reduction_product(data, phase.scale, assumptions)
     sub_ctx = _Ctx(config=ctx.config, mode=MONOMIALIZE)
-    sub_children = _run_germ(prod_jet, ExceptionalLedger(), sub_ctx, depth)
+    sub_children = _run_germ(prod_jet, sub_ctx, depth)
     return _lift_walk(sub_children, prepped, prep, phase, ctx, depth, assumptions)
 
 
@@ -1117,7 +1116,7 @@ def _lift_walk(sub_nodes, umodel, prep, phase, ctx, depth, assumptions):
     out = []
     for sd in sub_nodes:
         if sd.kind == KIND_LEAF:
-            data = _collect_data(umodel, phase)
+            data = _active_data(*coefficient_data(umodel, phase.d), phase)
             if not data:
                 out.extend(
                     _finish_phase_no_data(umodel, prep, phase, ctx, depth, list(assumptions))
@@ -1170,7 +1169,7 @@ def _finish_phase_no_data(model, prep, phase, ctx, depth, assumptions):
         for e in model.ledger.through_origin()
     )
     # an endgame front (d = 0) must itself be absorbed to break the crossing
-    needs_contact = tangent or phase.d >= 2 or not _crosses_normally(model, phase.d)
+    needs_contact = tangent or phase.d >= 2 or not _crossings(model, phase.d).ok
     if not needs_contact:
         children = _continue(model, ctx, depth)
         return _attach_prep(model, prep, phase, children, assumptions)
@@ -1239,7 +1238,7 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
     if i == m or not front_persists:
         node.children = _continue(child, ctx, depth + 1)
         return node
-    data = _collect_data(child, phase)
+    data = _active_data(*coefficient_data(child, phase.d), phase)
     if not data:
         node.children = _finish_phase_no_data(child, None, phase, ctx, depth + 1, [])
         return node
@@ -1275,59 +1274,44 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
     return node
 
 
-def _run_germ(g: Jet, ledger: ExceptionalLedger, ctx: _Ctx, depth: int):
-    """Entry point for one germ at the origin of the current frame.  In the
-    monomial modes a germ that is already monomial times unit is a leaf, and
-    the draft leaves are then absorbed."""
-    model = _model(g, ledger)
-    if ctx.mode == RESOLVE:
-        return _continue(model, ctx, depth)
-    dec = None if g.is_zero() or len(ledger) else g.monomial_unit_decompose()
+def _run_germ(g: Jet, ctx: _Ctx, depth: int):
+    """Entry point for one germ, with no exceptionals yet, at the origin of
+    the current frame.  In the monomial modes a germ that is already monomial
+    times unit is a leaf, absorbed at once when it has order one."""
+    model = _model(g, ExceptionalLedger())
+    dec = None if ctx.mode == RESOLVE or g.is_zero() else g.monomial_unit_decompose()
     if dec is None:
-        children = _continue(model, ctx, depth)
-    else:
-        children = [_leaf_node(model, passed=True, extra={"monomial_exponents": list(dec[0])})]
-    return _absorb_in_drafts(children)
+        return _continue(model, ctx, depth)
+    if model.d == 1:  # a smooth germ alone always crosses normally
+        return [_absorb(model, _crossings(model, 1))]
+    return [_leaf_node(model, monomial_exponents=list(dec[0]))]
 
 
-def _absorb_in_drafts(children):
-    """Append contact blow-ups at draft leaves with a surviving strict transform.
+def _absorb(model: LocalModel, crossings):
+    """The node of the identity blow-up that absorbs a leaf's smooth strict
+    transform in the monomial modes, with the absorbed leaf as its child.
 
-    ``_run_germ`` calls it on every run in the monomial modes, sub-runs of a
-    reduction included: the final identity blow-up is centered on the smooth
-    strict transform after a coordinate change that makes it a coordinate,
-    leaving the pullback a monomial times a unit.
+    ``crossings`` is the leaf's passed report, the strict transform last; its
+    pivot is swapped to the last variable and a shear makes the strict
+    transform that variable, so the blow-up along it leaves the pullback a
+    monomial times a unit.
     """
-
-    def visit(node):
-        if node.kind != KIND_LEAF:
-            node.children = [visit(ch) for ch in node.children]
-            return node
-        model = node.model
-        if model is None or model.g.is_zero() or model.g.order().value != 1:
-            return node
-        through = model.ledger.through_origin()
-        rep = normal_crossings_check([e.jet for e in through], extra=model.g)
-        if not rep.ok:
-            return node
-        pivot = rep.assignments[-1][1]
-        n = model.nvars
-        matrix = None
-        if pivot != n - 1:  # swap the pivot variable with the last one
-            swap = {pivot: n - 1, n - 1: pivot}
-            matrix = tuple(
-                tuple(Fraction(int(swap.get(r, r) == c)) for c in range(n)) for r in range(n)
-            )
-        work, prep = _shear_to_contact(model, matrix, 1)
-        chart = ChartMap(Center((n - 1,), n), n - 1)
-        child_model = _chart_model(work, chart, 1, prepared=False)
-        if child_model.g.constant_term == 0:
-            raise AlgorithmError("absorbing the strict transform failed")
-        blow = _blowup_node(child_model, None, prep, chart, node.assumptions)
-        blow.children = [_leaf_node(child_model, passed=True, extra={"absorbed": True})]
-        return blow
-
-    return [visit(ch) for ch in children]
+    pivot = crossings.assignments[-1][1]
+    n = model.nvars
+    matrix = None
+    if pivot != n - 1:  # swap the pivot variable with the last one
+        swap = {pivot: n - 1, n - 1: pivot}
+        matrix = tuple(
+            tuple(Fraction(int(swap.get(r, r) == c)) for c in range(n)) for r in range(n)
+        )
+    work, prep = _shear_to_contact(model, matrix, 1)
+    chart = ChartMap(Center((n - 1,), n), n - 1)
+    child_model = _chart_model(work, chart, 1, prepared=False)
+    if child_model.g.constant_term == 0:
+        raise AlgorithmError("absorbing the strict transform failed")
+    blow = _blowup_node(child_model, None, prep, chart, ())
+    blow.children = [_leaf_node(child_model, absorbed=True)]
+    return blow
 
 
 def _root_nodes(g: Jet, ctx: _Ctx):
@@ -1339,12 +1323,9 @@ def _root_nodes(g: Jet, ctx: _Ctx):
         if len(pt) != n:
             raise ShapeError("base point dimension mismatch")
         g0 = g if all(p == 0 for p in pt) else g.recenter(pt)
-        piece = Node(KIND_COVERING, base_point=pt)
         model = _model(g0, ExceptionalLedger())
-        piece.pair = (model.d, model.s)
-        piece.s_total = model.s
-        piece.model = model
-        piece.children = _run_germ(g0, ExceptionalLedger(), ctx, depth=0)
+        piece = Node(KIND_COVERING, base_point=pt, pair=(model.d, model.s), s_total=model.s)
+        piece.children = _run_germ(g0, ctx, depth=0)
         roots.append(piece)
     return roots
 
@@ -1395,7 +1376,6 @@ class LeafAudit:
     total_monomial: bool
     jacobian_ok: bool
     factors_ok: bool
-    matches_stored: bool
     reasons: tuple
 
 
@@ -1579,7 +1559,6 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
     stored_map = leaf.composed_map
     if stored_map is not None and stored_map != [_jet_json(c) for c in composed.components]:
         reasons.append("stored composed map differs from the replay")
-    matches = not reasons
     # leaf conditions (mode dependent: resolution wants a smooth strict
     # transform, monomialization wants the whole pullback monomial)
     monomial_mode = tree.mode in (MONOMIALIZE, RECTILINEARIZE)
@@ -1638,6 +1617,5 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
         total_monomial=total_ok,
         jacobian_ok=jac_ok,
         factors_ok=factors_ok,
-        matches_stored=matches,
         reasons=tuple(reasons),
     )

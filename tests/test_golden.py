@@ -4,6 +4,7 @@ Every speed-up of the kernel or the driver must leave ``to_json()`` byte for
 byte as it was.  These SHA-256 digests pin it for a few bundled inputs and
 one dense germ (whose drive runs ``implicit_solve`` on a dense jet), a
 3-variable monomialization whose absorb step swaps variables and shears, a
+monomialization absorbed at the root because its germ is already monomial, a
 resolution whose phase ends in its contact blow-up, and two runs with base
 points off the origin, pin the terms of ``implicit_solve``, ``invert_map``
 and ``inverse_majorant`` on fixed inputs, and pin a few ``compose_coefficient``
@@ -82,6 +83,13 @@ GOLDEN = [
         "8a36b7d961f26724d4776e10519454facd01328e43caa275131b1af28ee9414e",
         "f5f53bee62f34ab863fc725f6ea2f270cc44e48ea755ee60606aaac5e526275d",
         id="resolve-double-parabola",
+    ),
+    # already monomial at the root, of order 1: absorbed at once, by a swap
+    pytest.param(
+        "monomialize", ["x*(1+y)"], 24,
+        "1505df95d1ca44317e691e44d64b879b0d490d7723d79ea8a190b82040c68b2b",
+        "6c608506242104ed7d8a53af79ad4e4596dc5aab1d22bc72db3b328ea6abc90e",
+        id="monomialize-x-unit",
     ),
 ]
 

@@ -18,21 +18,9 @@ from resolvkit.resolve import AlgorithmError
 from resolvkit.series import Jet
 
 
-def run_cli(argv, env=None):
+def run_cli(argv):
     buf = io.StringIO()
-    saved = {}
-    env = env or {}
-    for k, v in env.items():
-        saved[k] = os.environ.get(k)
-        os.environ[k] = v
-    try:
-        code = main(argv, out=buf)
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    code = main(argv, out=buf)
     return code, buf.getvalue()
 
 
@@ -182,13 +170,6 @@ class TestCliRuns:
         assert code == 3
         assert "budget" in text
 
-    def test_env_truncation(self):
-        code, text = run_cli(
-            ["resolve", "y - x^2", "--emit", "json"], env={"RESOLVKIT_TRUNCATION": "8"}
-        )
-        assert code == 0
-        assert '"truncation": 8' in text
-
     def test_verify_round_trip(self, tmp_path):
         out = tmp_path / "cusp"
         code, text = run_cli(
@@ -296,8 +277,7 @@ class TestCliRuns:
         ]
         in_process = [run_cli(argv) for argv in runs]
         src = os.path.dirname(os.path.dirname(resolvkit.__file__))
-        env = {k: v for k, v in os.environ.items() if k != "RESOLVKIT_TRUNCATION"}
-        env["PYTHONPATH"] = src
+        env = dict(os.environ, PYTHONPATH=src)
         separate = []
         for argv in runs:
             proc = subprocess.run(

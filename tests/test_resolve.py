@@ -33,6 +33,7 @@ from resolvkit.resolve import (
 from resolvkit.resolve import (
     Preparation,
     _apply_prep_model,
+    _chart_model,
     _complete_basis,
     _jet_json,
     _lift_prep,
@@ -557,8 +558,18 @@ class TestToMonomialCase:
         tree = resolve_hypersurface(CUSP)
         by_chart = {nd.chart_index: nd for nd in tree.roots()[0].children}
         assert by_chart[0].center == (0, 1)
-        assert by_chart[0].model.g == jet2({(0, 2): 1, (1, 0): -1}, trunc=22)
-        assert by_chart[1].model.g.is_unit()
+        # the germ at each chart origin: the root's prepared model through the
+        # node's chart, with the order d = 2 divided out
+        prepped, prep = prepare_local_model(CUSP, ExceptionalLedger())
+        assert prep.is_trivial and all(nd.prep is None for nd in by_chart.values())
+        g = {
+            i: _chart_model(prepped, ChartMap(Center(nd.center, 2), i), 2, prepared=True).g
+            for i, nd in by_chart.items()
+        }
+        assert g[0] == jet2({(0, 2): 1, (1, 0): -1}, trunc=22)
+        assert g[1].is_unit()
+        # chart 1 is a leaf at once, and holds that unit as its strict transform
+        assert by_chart[1].children[0].leaf["strict_transform"] == g[1]
         assert OmegaScaled((3,), 2).updated([0], 0) == OmegaScaled((1,), 2)
 
 
@@ -578,7 +589,7 @@ class TestExceptionalOnlyEndgame:
         )
         model = _model(g, led)
         ctx = _Ctx(config=RunConfig(), mode=RESOLVE)
-        drafts = _continue(model, ctx, 0)
+        children = _continue(model, ctx, 0)
 
         leaves = []
 
@@ -589,7 +600,7 @@ class TestExceptionalOnlyEndgame:
                 else:
                     walk(nd.children)
 
-        walk(drafts)
+        walk(children)
         assert leaves
         assert all(nd.leaf["passed"] for nd in leaves)
 

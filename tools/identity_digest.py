@@ -9,7 +9,8 @@
    path])`` on the tree it wrote.
 3. ``extra``: over the ``corpus`` and ``verify`` digests of EXTRA, runs
    that reach every route a coordinate preparation takes: an absorb step
-   with a swap matrix and a shear, covering pieces off the origin, and
+   with a swap matrix and a shear, one on a germ that is already monomial
+   at the root, covering pieces off the origin, and
    lifted preparations (two runs that exit 5), a phase that ends in its
    contact blow-up, and a run at truncation 70, whose ``implicit_solve``
    calls (at truncations 69 and 67) cross the widening of exponent keys
@@ -65,6 +66,7 @@ EXTRA = [
     ["resolve", "(y-x^2)^2"],
     ["monomialize", "(y-x^2)^2"],
     ["resolve", "(1+x+y)*(y^2-x^3)", "--truncation", "70"],
+    ["monomialize", "x*(1+y)"],
 ]
 # (lambda, n, p, truncation) for majorant_series
 MAJORANTS = [
