@@ -97,63 +97,6 @@ def order_along_center(f: Jet, center: Center) -> OrderResult:
     return f.order_along(center.indices)
 
 
-@dataclass(frozen=True)
-class DerivativeTransformReport:
-    ok: bool
-    results: tuple  # (j, case, holds)
-
-
-def check_derivative_transforms(f: Jet, center: Center, i: int, e: int) -> DerivativeTransformReport:
-    """Exact identities relating derivatives of f to derivatives of its transform.
-
-    In chart i, with h = (f o sigma) / y_i^e (valid when the order of f along
-    the center is at least e >= 1):
-
-      j not in center:   (df/dx_j o sigma) / y_i^{e-1} = y_i d/dy_j h
-      j in center, != i: (df/dx_j o sigma) / y_i^{e-1} = d/dy_j h
-      j = i:             (df/dx_i o sigma) / y_i^{e-1}
-                             = e h + y_i d/dy_i h - sum_{j in center, != i} y_j d/dy_j h
-
-    All three are checked as exact jet equalities at the common truncation.
-    """
-    if e < 1:
-        raise ValueError("the transform identities need e >= 1")
-    mu = order_along_center(f, center)
-    if not mu.is_finite or mu.value < e:
-        raise ValueError(f"order along center ({mu}) is below e = {e}")
-    chart = ChartMap(center, i)
-    n = f.nvars
-    pulled = chart.pullback(f)
-    h = pulled
-    for _ in range(e):
-        h = h.divide_by_coordinate(i)
-    results = []
-    ok = True
-    for j in range(n):
-        lhs = chart.pullback(f.partial(j))
-        for _ in range(e - 1):
-            lhs = lhs.divide_by_coordinate(i)
-        if j == i:
-            rhs = h.scale(e).with_truncation(h.trunc - 1) + Jet.variable(
-                i, n, h.trunc - 1
-            ) * h.partial(i)
-            for k in center.indices:
-                if k != i:
-                    rhs = rhs - Jet.variable(k, n, h.trunc - 1) * h.partial(k)
-            case = "chart-index"
-        elif j in center.indices:
-            rhs = h.partial(j)
-            case = "in-center"
-        else:
-            rhs = Jet.variable(i, n, h.trunc - 1) * h.partial(j)
-            case = "off-center"
-        T = min(lhs.trunc, rhs.trunc)
-        holds = lhs.with_truncation(T) == rhs.with_truncation(T)
-        ok = ok and holds
-        results.append((j, case, holds))
-    return DerivativeTransformReport(ok, tuple(results))
-
-
 # -- exceptional bookkeeping ---------------------------------------------------
 
 ORIGIN_STRICT = "strict-transform"

@@ -269,56 +269,6 @@ def derivation_closure_test(m: GrowthSequence, depth: int = 16) -> DerivationClo
     return DerivationClosureResult("inconclusive", max_ratio=best_ratio, max_index=best_k)
 
 
-# -- the key inequalities -----------------------------------------------------
-
-
-def check_childress(m: GrowthSequence, ks) -> bool:
-    """Exact check of m_k m_1^{k_1} ... m_n^{k_n} <= m_1^k m_n.
-
-    ``ks`` lists k_1 .. k_n with the weighted constraint sum i*k_i = n.
-    """
-    ks = [int(k) for k in ks]
-    n = len(ks)
-    if sum((i + 1) * k for i, k in enumerate(ks)) != n:
-        raise ValueError("weights must satisfy sum i*k_i = n")
-    k = sum(ks)
-    lhs = [(k, 1)] + [(i + 1, ki) for i, ki in enumerate(ks) if ki]
-    rhs = [(1, k), (n, 1)]
-    return m.compare_products(lhs, rhs) <= 0
-
-
-def check_childress_blocks(m: GrowthSequence, ks, deltas) -> bool:
-    """Exact check of m_|alpha| prod m_|delta_i|^|k_i| <= m_1^|alpha| m_|gamma|."""
-    ks = [tuple(int(x) for x in k) for k in ks]
-    deltas = [tuple(int(x) for x in d) for d in deltas]
-    if len(ks) != len(deltas):
-        raise ValueError("need one multiplier per delta")
-    if any(not any(k) for k in ks) or any(not any(d) for d in deltas):
-        raise ValueError("multipliers and deltas must be nonzero")
-    abs_alpha = sum(sum(k) for k in ks)
-    abs_gamma = sum(sum(k) * sum(d) for k, d in zip(ks, deltas))
-    lhs = [(abs_alpha, 1)] + [(sum(d), sum(k)) for k, d in zip(ks, deltas)]
-    rhs = [(1, abs_alpha), (abs_gamma, 1)]
-    return m.compare_products(lhs, rhs) <= 0
-
-
-def weighted_partitions(n: int):
-    """All (k_1, ..., k_n) in N^n with sum i*k_i = n (exhaustive)."""
-    out = []
-
-    def rec(i, remaining, acc):
-        if i > n:
-            if remaining == 0:
-                out.append(tuple(acc + [0] * (n - len(acc))))
-            return
-        max_ki = remaining // i
-        for ki in range(max_ki + 1):
-            rec(i + 1, remaining - i * ki, acc + [ki])
-
-    rec(1, n, [])
-    return out
-
-
 # -- composition and inversion constants --------------------------------------
 
 
@@ -472,26 +422,3 @@ def check_inverse_domination(g: PolyMap, m: GrowthSequence, depth: int):
                 failures.append((i, gamma, coeff, bound))
     return not failures, failures
 
-
-def binom_half(n: int) -> Fraction:
-    """Exact binomial coefficient (1/2 choose n)."""
-    out = Fraction(1)
-    half = Fraction(1, 2)
-    for j in range(n):
-        out *= (half - j) / (j + 1)
-    return out
-
-
-def inverse_bound_1var(a, b, m: GrowthSequence, depth: int):
-    """One-variable inverse coefficient bounds B_n, n = 1 .. depth.
-
-    B_n = |binom(1/2, n)| 2^n a^n c^{n-1} m_n with c = 2 b m_1; the caller is
-    responsible for the hypotheses relating (a, b) to the function being
-    inverted.
-    """
-    a, b = Fraction(a), Fraction(b)
-    c = 2 * b * m.term(1)
-    out = []
-    for k in range(1, depth + 1):
-        out.append(abs(binom_half(k)) * Fraction(2) ** k * a**k * c ** (k - 1) * m.term(k))
-    return out

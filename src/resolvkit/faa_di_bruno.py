@@ -8,8 +8,8 @@ with pairwise distinct nonzero exponent vectors ``delta_i`` and nonzero
 multiplier vectors ``k_i``; each decomposition contributes the multinomial
 alpha!/(k_1! ... k_l!) with alpha = k_1 + ... + k_l, times f_alpha and the
 products of chosen g-coefficients.  This module enumerates decompositions
-canonically (deltas in graded-lex order) and evaluates the dominating
-generating function obtained by replacing every coefficient with
+canonically (deltas in graded-lex order) and expands, in closed form, the
+dominating series obtained by replacing every coefficient with
 lambda^{|alpha|}, whose terms are all nonzero.
 
 :func:`compose_coefficient` sums the same terms but never builds the zero
@@ -248,27 +248,6 @@ def compose_coefficient(f_table, g_tables, gamma) -> Fraction:
 
     walk(0, gamma, size, 0, 1)
     return Fraction(total, f_den * g_den**size)
-
-
-def majorant_coefficient(lam, n: int, p: int, gamma) -> Fraction:
-    """Coefficient of the dominating series: sum of multinomials * lambda^|alpha|.
-
-    The gamma = 0 coefficient is 1 by convention.  Coefficientwise this equals
-    the expansion of F(G, ..., G) with G(u) = prod 1/(1-u_i) - 1 and
-    F(z) = prod 1/(1 - lambda z_j).
-    """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    gamma = tuple(int(g) for g in gamma)
-    if len(gamma) != n:
-        raise ValueError("gamma length must equal n")
-    if not any(gamma):
-        return Fraction(1)
-    total = Fraction(0)
-    for dec in enumerate_decompositions(gamma, p):
-        total += dec.multinomial() * lam ** sum(dec.alpha)
-    return total
 
 
 def majorant_series(lam, n: int, p: int, trunc: int) -> Jet:

@@ -1005,7 +1005,7 @@ def _active_data(cs, bs, phase: _PhaseState):
     data = {}
     for q in phase.c_keys:
         if cs[q] is None:
-            raise AlgorithmError(
+            raise TruncationError(
                 "a contact coefficient vanished mid-phase; certified degrees exhausted"
             )
         data[("c", q)] = cs[q]
@@ -1017,22 +1017,16 @@ def _active_data(cs, bs, phase: _PhaseState):
 
 def _omega_of(data, phase: _PhaseState):
     """Decompose each datum once, in key order: the scaled exponent vector of
-    each and whether their unscaled exponents are pairwise comparable, or
-    None and the key of the first datum that is not monomial times unit."""
-    omegas, exps = {}, []
+    each and whether those vectors are pairwise comparable, or None and the
+    key of the first datum that is not monomial times unit."""
+    omegas = {}
     for key, mf in sorted(data.items()):
         dec = mf.jet.monomial_unit_decompose()
         if dec is None:
             return None, key
-        alpha, _ = dec
         factor = phase.scale // mf.mark
-        omegas[key] = OmegaScaled(tuple(e * factor for e in alpha), phase.scale)
-        exps.append(alpha)
-    comparable = all(
-        all(x <= y for x, y in zip(a, b)) or all(y <= x for x, y in zip(a, b))
-        for a in exps
-        for b in exps
-    )
+        omegas[key] = OmegaScaled(tuple(e * factor for e in dec[0]), phase.scale)
+    comparable = all(a.le(b) or b.le(a) for a in omegas.values() for b in omegas.values())
     return omegas, comparable
 
 

@@ -13,19 +13,18 @@ from resolvkit.carleman import (
     INCONCLUSIVE,
     NOT_QUASIANALYTIC,
     QUASIANALYTIC,
-    check_childress,
-    check_childress_blocks,
     check_inverse_domination,
     composition_constants,
     derivation_closure_test,
-    inverse_bound_1var,
     inverse_majorant,
     is_log_convex,
     log_convexity_consequences,
     quasianalytic_test,
-    weighted_partitions,
 )
+from resolvkit.faa_di_bruno import enumerate_decompositions
 from resolvkit.series import Jet, PolyMap, mat_det, substitute
+
+from test_acceptance import childress_holds
 
 
 FACTORIAL = GrowthSequence.gevrey(1)
@@ -34,6 +33,12 @@ GEVREY_HALF = GrowthSequence.gevrey(Fraction(1, 2))
 GEVREY_TWO = GrowthSequence.gevrey(2)
 
 FAMILIES = [CONST, GEVREY_HALF, FACTORIAL, GEVREY_TWO]
+
+
+def partitions(n):
+    """The partitions of n as (delta, k) pairs ((i,), (k_i,)), from the
+    decompositions of (n,) with p = 1."""
+    return [dec.pairs for dec in enumerate_decompositions((n,), 1)]
 
 
 class TestLogConvexity:
@@ -114,29 +119,35 @@ class TestDerivationClosure:
 class TestChildress:
     def test_factorial_example(self):
         # n = 3, (k_1, k_2, k_3) = (1, 1, 0): m_2 m_1 m_2 = 4 <= m_1^2 m_3 = 6
-        assert check_childress(FACTORIAL, [1, 1, 0])
+        assert childress_holds(FACTORIAL, [((1,), (1,)), ((2,), (1,))])
 
     def test_kn_equals_one(self):
         for n in range(1, 6):
-            ks = [0] * n
-            ks[n - 1] = 1
-            assert check_childress(FACTORIAL, ks)
+            assert childress_holds(FACTORIAL, [((n,), (1,))])
 
     def test_k1_equals_n(self):
         for n in range(1, 6):
-            ks = [0] * n
-            ks[0] = n
-            assert check_childress(FACTORIAL, ks)
+            assert childress_holds(FACTORIAL, [((1,), (n,))])
 
     def test_constraint_violation(self):
-        with pytest.raises(ValueError):
-            check_childress(FACTORIAL, [2, 1, 0])
+        # the partitions of n are exactly the (k_1, ..., k_n) with sum i*k_i = n,
+        # each listed once, so no tuple such as (2, 1, 0) for n = 3 is checked
+        for n in range(1, 9):
+            found = [
+                tuple(dict((d[0], k[0]) for d, k in pairs).get(i, 0) for i in range(1, n + 1))
+                for pairs in partitions(n)
+            ]
+            weighed = [
+                ks for ks in product(*(range(n // i + 1) for i in range(1, n + 1)))
+                if sum(i * k for i, k in enumerate(ks, 1)) == n
+            ]
+            assert sorted(found) == weighed
 
     def test_exhaustive_families(self):
         for m in FAMILIES:
             for n in range(1, 9):
-                for ks in weighted_partitions(n):
-                    assert check_childress(m, ks), (m, n, ks)
+                for pairs in partitions(n):
+                    assert childress_holds(m, pairs), (m, n, pairs)
 
     def test_non_log_convex_search(self):
         # a deliberately non-log-convex sequence; search exhaustively for a
@@ -146,9 +157,9 @@ class TestChildress:
         assert not is_log_convex(m, 6).ok
         found = None
         for n in range(1, 7):
-            for ks in weighted_partitions(n):
-                if not check_childress(m, ks):
-                    found = (n, ks)
+            for pairs in partitions(n):
+                if not childress_holds(m, pairs):
+                    found = (n, pairs)
                     break
             if found:
                 break
@@ -159,15 +170,15 @@ class TestChildress:
 
 class TestChildressBlocks:
     def test_equality_trivial(self):
-        assert check_childress_blocks(FACTORIAL, [(1,)], [(1,)])
+        assert childress_holds(FACTORIAL, [((1,), (1,))])
 
     def test_alpha_two(self):
         # k = (2), delta = (1): m_2 m_1^2 = 2 <= m_1^2 m_2 = 2
-        assert check_childress_blocks(FACTORIAL, [(2,)], [(1,)])
+        assert childress_holds(FACTORIAL, [((1,), (2,))])
 
     def test_two_blocks(self):
         # k_1 = k_2 = (1), delta_1 = (1), delta_2 = (2): 4 <= 6
-        assert check_childress_blocks(FACTORIAL, [(1,), (1,)], [(1,), (2,)])
+        assert childress_holds(FACTORIAL, [((1,), (1,)), ((2,), (1,))])
 
     def test_random_instances(self):
         rng = random.Random(9)
@@ -189,7 +200,7 @@ class TestChildressBlocks:
             gamma_abs = sum(sum(k) * sum(d) for k, d in zip(ks, deltas))
             if gamma_abs > 8:
                 continue
-            assert check_childress_blocks(m, ks, deltas)
+            assert childress_holds(m, list(zip(deltas, ks)))
 
 
 class TestCompositionConstants:
@@ -327,27 +338,25 @@ class TestInverseMajorant:
 
 
 class TestInverseBound1Var:
+    """The one-variable inverse bound: the majorant g at n = 1."""
+
     def test_b1(self):
-        a = Fraction(3, 2)
-        bounds = inverse_bound_1var(a, 1, FACTORIAL, 3)
-        assert bounds[0] == a * FACTORIAL.term(1)
+        # the degree-one bound g_1 m_1 is r, the size of the inverse's slope
+        r = Fraction(3, 2)
+        g = inverse_majorant(1, r, 1, 1, FACTORIAL, 3)
+        assert g.coeff((1,)) * FACTORIAL.term(1) == r
 
     def test_c_constant(self):
-        # c = 2 b m_1 with b = 3, m_1 = 2 gives 12
+        # c_2 = r a (m_1 b)^2 = 36 with r = a = 1, b = 3, m_1 = 2, so
+        # g_2 = c_2 (r/m_1)^2 = 9
         m = GrowthSequence.custom([1, 2, 8, 48])
-        assert 2 * Fraction(3) * m.term(1) == 12
+        assert inverse_majorant(1, 1, 1, 3, m, 2).coeff((2,)) == 9
 
     def test_domination_geometric_series(self):
-        # f = x/(1-x): inverse is y/(1+y) with |coefficients| = 1; the bounds
-        # with a = b = 1 and the constant sequence dominate (hand-checked
-        # choice, hypotheses on f are the caller's responsibility)
+        # f = x/(1-x): the inverse is y/(1+y), with |coefficients| = 1
         f = Jet(1, 8, {(k,): 1 for k in range(1, 9)})
-        from resolvkit.series import invert_map
-
-        h = invert_map(PolyMap([f]))
-        bounds = inverse_bound_1var(1, 1, CONST, 6)
-        for k in range(1, 7):
-            assert abs(h[0].coeff((k,))) <= bounds[k - 1]
+        ok, failures = check_inverse_domination(PolyMap([f]), CONST, 6)
+        assert ok, failures
 
 
 class TestTermAccess:

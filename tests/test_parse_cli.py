@@ -95,6 +95,26 @@ class TestCliRuns:
         assert "digraph" in text
         assert "verified: True" in text
 
+    def test_spent_truncation_exits_three(self):
+        # a contact coefficient vanishes mid-phase at T=16; T=24 is enough
+        code, text = run_cli(["resolve", "y^4+x^4*y^3", "--truncation", "16"])
+        assert code == 3
+        assert text == (
+            "error: a contact coefficient vanished mid-phase; "
+            "certified degrees exhausted\n"
+        )
+        code, text = run_cli(["resolve", "y^4+x^4*y^3", "--truncation", "24", "--verify"])
+        assert code == 0
+        assert "verified: True" in text
+
+    def test_leading_minus_needs_double_dash(self):
+        code, text = run_cli(["resolve", "-x^2+y^3"])
+        assert code == 4
+        assert text.startswith("error: the following arguments are required: expr\n")
+        code, text = run_cli(["resolve", "--", "-x^2+y^3"])
+        assert code == 0
+        assert "blow-ups: 3" in text
+
     def test_dc_gevrey(self):
         code, text = run_cli(["dc", "gevrey:1"])
         assert code == 0

@@ -13,6 +13,7 @@ from resolvkit.blowup import (
     ChartMap,
     ExceptionalLedger,
     LedgerEntry,
+    MarkedFunction,
     order_along_center,
 )
 from resolvkit.parse import parse_many
@@ -32,12 +33,14 @@ from resolvkit.resolve import (
 )
 from resolvkit.resolve import (
     Preparation,
+    _PhaseState,
     _apply_prep_model,
     _chart_model,
     _complete_basis,
     _jet_json,
     _lift_prep,
     _model,
+    _omega_of,
     _write_json,
 )
 from resolvkit.series import Jet, PolyMap, compose_maps, linear_change, substitute
@@ -185,6 +188,25 @@ class TestOmegaMachinery:
     def test_no_center_below_one(self):
         with pytest.raises(ValueError):
             monomial_centers(OmegaScaled((1,), 2))
+
+    def test_comparability_is_judged_scaled(self):
+        # at d = 3 (scale 6) a datum of mark m has its exponents scaled by 6/m
+        phase = _PhaseState(d=3, front_entry=None, old_ids=(), c_keys=(1, 2), start_pair=(3, 0))
+
+        def data(alpha1, alpha2):
+            return {
+                ("c", 1): MarkedFunction(Jet(2, T, {alpha1: 1}), 1),
+                ("c", 2): MarkedFunction(Jet(2, T, {alpha2: 1}), 3),
+            }
+
+        # (1, 1) <= (4, 1) unscaled, but (6, 6) and (8, 2) are incomparable
+        omegas, comparable = _omega_of(data((1, 1), (4, 1)), phase)
+        assert [om.entries for om in omegas.values()] == [(6, 6), (8, 2)]
+        assert not comparable
+        # (1, 2) and (2, 1) are incomparable unscaled, but (6, 12) >= (4, 2)
+        omegas, comparable = _omega_of(data((1, 2), (2, 1)), phase)
+        assert [om.entries for om in omegas.values()] == [(6, 12), (4, 2)]
+        assert comparable
 
 
 class TestResolveRuns:

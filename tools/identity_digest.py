@@ -2,6 +2,12 @@
 
     python3 tools/identity_digest.py
 
+Before the four digests it prints one line per ``cli.main`` run of
+``corpus`` and ``extra``: the argv, the exit code, and the first 12 hex
+digits of the SHA-256 of the run's output and of the output of ``verify``
+on it (after ``verify``'s exit code).  ``diff`` of two such printouts names
+each run whose output moved.
+
 1. ``corpus``: over ``repr((argv, exit_code, stdout))`` of every ``cli.main``
    run on ``bench/corpus.resolve_corpus`` seeds 1 and 2 (90 runs).
 2. ``verify``: over ``repr((argv, exit_code, stdout))`` with the argv of
@@ -24,7 +30,7 @@
    terms of ``majorant_series`` on each of MAJORANTS.
 
 A refactor that must not change the output runs this on the parent commit
-and on the change and compares the four lines.  The script imports
+and on the change and compares the four last lines.  The script imports
 resolvkit from this checkout's ``src/`` and only reads ``bench/corpus.py``
 (and the ``bench/oracle.py`` it imports).
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import shlex
 import sys
 import tempfile
 from fractions import Fraction
@@ -83,14 +90,23 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def _hash_runs(argvs, path):
-    """Digests of the runs of ``argvs`` and of ``verify`` on each output."""
+def _short(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _hash_runs(argvs, path, lines):
+    """Digests of the runs of ``argvs`` and of ``verify`` on each output;
+    appends one line per run to ``lines``."""
     runs, verify = hashlib.sha256(), hashlib.sha256()
     for argv in argvs:
         code, text = _run(argv)
         runs.update(repr((argv, code, text)).encode())
         Path(path).write_text(text)
-        verify.update(repr((argv, *_run(["verify", path]))).encode())
+        vcode, vtext = _run(["verify", path])
+        verify.update(repr((argv, vcode, vtext)).encode())
+        lines.append(
+            f"run {shlex.join(argv)} exit {code} {_short(text)} verify {vcode} {_short(vtext)}"
+        )
     return runs.hexdigest(), verify.hexdigest()
 
 
@@ -114,14 +130,14 @@ def class_digest():
     return digest.hexdigest()
 
 
-def digests():
+def digests(lines):
+    """The four digests; one line per run is appended to ``lines``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "tree.json")
         corpus = [entry.argv() for seed in SEEDS for entry in resolve_corpus(seed)]
-        corpus_runs, corpus_verify = _hash_runs(corpus, path)
-        extra = hashlib.sha256(
-            "".join(_hash_runs([argv + ["--emit", "json"] for argv in EXTRA], path)).encode()
-        )
+        corpus_runs, corpus_verify = _hash_runs(corpus, path, lines)
+        extra_argvs = [argv + ["--emit", "json"] for argv in EXTRA]
+        extra = hashlib.sha256("".join(_hash_runs(extra_argvs, path, lines)).encode())
     return {
         "corpus": corpus_runs,
         "verify": corpus_verify,
@@ -131,5 +147,9 @@ def digests():
 
 
 if __name__ == "__main__":
-    for name, digest in digests().items():
+    runs = []
+    named = digests(runs)
+    for line in runs:
+        print(line)
+    for name, digest in named.items():
         print(f"{name} {digest}")
