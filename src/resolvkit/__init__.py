@@ -14,7 +14,6 @@ Library layout:
 from .series import (
     Jet,
     PolyMap,
-    OrderResult,
     ShapeError,
     NotDivisibleError,
     PivotError,
@@ -46,7 +45,6 @@ from .resolve import (
 __all__ = [
     "Jet",
     "PolyMap",
-    "OrderResult",
     "ShapeError",
     "NotDivisibleError",
     "PivotError",

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .series import (
     Jet,
-    OrderResult,
     PolyMap,
     ShapeError,
     compose_maps,  # noqa: F401  (bench/spans.py wraps blowup.compose_maps by name)
@@ -68,10 +67,6 @@ class ChartMap:
     def nvars(self) -> int:
         return self.center.nvars
 
-    @property
-    def exceptional_index(self) -> int:
-        return self.chart_index
-
     def pullback(self, f: Jet) -> Jet:
         """f composed with the chart substitution, at the same truncation."""
         if f.nvars != self.nvars:
@@ -92,11 +87,6 @@ class ChartMap:
         return PolyMap(comps)
 
 
-def order_along_center(f: Jet, center: Center) -> OrderResult:
-    """Min over stored terms of the total exponent on the center coordinates."""
-    return f.order_along(center.indices)
-
-
 # -- exceptional bookkeeping ---------------------------------------------------
 
 ORIGIN_STRICT = "strict-transform"
@@ -113,7 +103,7 @@ class LedgerEntry:
 
     def __post_init__(self):
         o = self.jet.order()
-        if o.is_finite and o.value > 1:
+        if o is not None and o > 1:
             raise ValueError(
                 f"exceptional entry {self.eid} is not smooth at the origin (order {o})"
             )
@@ -157,9 +147,6 @@ class ExceptionalLedger:
             self.watermark,
         )
 
-    def next_id(self) -> int:
-        return self.watermark
-
 
 @dataclass(frozen=True)
 class MarkedFunction:
@@ -200,8 +187,8 @@ def normal_crossings_check(jets, extra: Jet | None = None) -> CrossingsReport:
         if f.constant_term != 0:
             continue
         o = f.order()
-        if o.value != 1:
-            return CrossingsReport(False, (), f"entry {pos} has order {o.value} at the origin")
+        if o != 1:
+            return CrossingsReport(False, (), f"entry {pos} has order {o} at the origin")
         rows.append(list(f.gradient_at_zero()))
         tags.append(pos)
     # exact rank computation with pivot tracking

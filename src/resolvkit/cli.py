@@ -182,7 +182,14 @@ def _cmd_run(args, mode, out):
         tree = monomialize_principal(jets[0], config, names)
     else:
         tree = rectilinearize(jets, config, names)
-    report = verify_resolution(tree) if args.verify else None
+    report = None
+    if args.verify:
+        try:
+            report = verify_resolution(tree)
+        except ValueError as exc:
+            # the tree is the drive's own, not this command's input: a replay
+            # that rejects it shows a fault of the resolver, not a bad input
+            raise AlgorithmError(str(exc)) from None
     _emit_tree(tree, report, args, out)
     if report is not None and not report.all_passed:
         return EXIT_CHECKS_FAILED

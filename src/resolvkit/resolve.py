@@ -33,7 +33,6 @@ from .blowup import (
     ORIGIN_NEW,
     ORIGIN_STRICT,
     normal_crossings_check,
-    order_along_center,
 )
 from .series import (
     Jet,
@@ -155,10 +154,8 @@ class LocalModel:
 
 
 def _model(g: Jet, ledger: ExceptionalLedger, prepared=False) -> LocalModel:
-    o = g.order()
-    d = o.value if o.is_finite else 0
     s = len(ledger.through_origin())
-    return LocalModel(g, ledger, d, s, prepared)
+    return LocalModel(g, ledger, g.order() or 0, s, prepared)
 
 
 @dataclass(frozen=True)
@@ -171,11 +168,7 @@ class Preparation:
     preparation through that map."""
 
     matrix: tuple | None
-    shear: Jet | None  # jet in the first n-1 variables
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.matrix is None and self.shear is None
+    shear: Jet | None  # jet in the first n-1 variables; not both None
 
     def as_map(self, n: int, trunc: int) -> PolyMap:
         """Parent coordinates as functions of the prepared coordinates:
@@ -210,15 +203,19 @@ def _apply_prep_model(model: LocalModel, prep: Preparation) -> LocalModel:
 def _shear_to_contact(model: LocalModel, matrix, d: int):
     """The preparation of the linear change ``matrix`` (if any) followed by
     the shear of the last variable that makes the (d-1)-th pure derivative in
-    it vanish exactly on {x_n = 0}, and the model it prepares.  The shear is
-    solved on g after the linear change alone; the whole preparation then
-    acts once on g and the ledger."""
+    it vanish exactly on {x_n = 0}, and the model it prepares; None and the
+    model itself when there is neither.  The shear is solved on g after the
+    linear change alone; the whole preparation then acts once on g and the
+    ledger."""
     n, g = model.nvars, model.g
     if matrix is not None:
         g = substitute(g, PolyMap.from_matrix(matrix, g.trunc))
     phi = implicit_solve(g.nth_partial(n - 1, d - 1), n - 1)
-    prep = Preparation(matrix, None if phi.is_zero() else phi)
-    return (model if prep.is_trivial else _apply_prep_model(model, prep)), prep
+    shear = None if phi.is_zero() else phi
+    if matrix is None and shear is None:
+        return model, None
+    prep = Preparation(matrix, shear)
+    return _apply_prep_model(model, prep), prep
 
 
 def _direction_candidates(n: int, cap: int):
@@ -249,19 +246,19 @@ def _complete_basis(target, n: int):
     return tuple(tuple(col[r] for col in cols) for r in range(n))
 
 
-def prepare_local_model(g: Jet, ledger: ExceptionalLedger, d: int | None = None):
+def prepare_local_model(g: Jet, ledger: ExceptionalLedger):
     """Arrange coordinates so the pure order-d derivative in the last variable
-    is a unit and the contact hypersurface is exactly {x_n = 0}.
+    is a unit and the contact hypersurface is exactly {x_n = 0}, with d the
+    order of g.
 
-    Returns ``(model, preparation)``.  ``d`` defaults to the order of g and
-    must not exceed it.  The direction search is deterministic; when the
-    contact solution is the zero jet no shear is applied and no certified
+    Returns ``(model, preparation)``, the preparation None when the
+    coordinates need no change.  The direction search is deterministic; when
+    the contact solution is the zero jet no shear is applied and no certified
     degrees are spent.
     """
     if g.is_zero():
         raise ValueError("cannot prepare the zero jet")
-    o = g.order()
-    d = o.value if d is None else d
+    d = g.order()
     n = g.nvars
     if d < 1:
         raise ValueError("preparation needs a vanishing germ")
@@ -278,6 +275,11 @@ def prepare_local_model(g: Jet, ledger: ExceptionalLedger, d: int | None = None)
     # no linear change when the direction is the last axis
     matrix = _complete_basis(direction, n) if any(direction[:-1]) else None
     model, prep = _shear_to_contact(_model(g, ledger), matrix, d)
+    if model.g.trunc < d:  # the unit check below needs d - 1 derivatives and a division
+        raise TruncationError(
+            f"the shear to the contact hypersurface left certified degree "
+            f"{model.g.trunc}, below the order {d}; increase the truncation"
+        )
     u = model.g.nth_partial(n - 1, d - 1).divide_by_coordinate(n - 1)
     if u.constant_term == 0:
         raise AlgorithmError("contact normalization failed to produce a unit")
@@ -451,7 +453,7 @@ class ResolutionTree:
                 return PolyMap([c.recenter(base) for c in composed.components])
             if node.kind == KIND_LEAF:
                 return composed
-            if node.prep is not None and not node.prep.is_trivial:
+            if node.prep is not None:
                 composed = compose_maps(composed, node.prep.as_map(n, composed.trunc))
             if node.center is not None:
                 chart = ChartMap(Center(tuple(node.center), n), node.chart_index)
@@ -596,7 +598,7 @@ def _jet_from_json(d, where: str) -> Jet:
 
 def _node_json(n: Node, jet) -> dict:
     prep = None
-    if n.prep is not None and not n.prep.is_trivial:
+    if n.prep is not None:
         prep = {
             "matrix": None
             if n.prep.matrix is None
@@ -655,21 +657,11 @@ def _list(v, where: str) -> list:
     return v
 
 
-def _rational(v, where: str) -> Fraction:
-    """A rational written as a string (as the writer does) or an integer."""
-    if type(v) in (str, int):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"tree JSON: {where} is not a rational number")
-
-
 def _ratio(v, where: str) -> tuple[int, int]:
-    """The rational of :func:`_rational` as its numerator and a positive
-    denominator.  The writer's forms "p" and "p/q" (decimal digits, with a
-    leading minus sign on p) are read by ``int``; any other text goes
-    through :func:`_rational`."""
+    """A rational written as a string (as the writer does) or an integer, as
+    its numerator and a positive denominator.  The writer's forms "p" and
+    "p/q" (decimal digits, with a leading minus sign on p) are read by
+    ``int``; any other text goes through ``Fraction``."""
     if type(v) is str:
         num, slash, den = v.partition("/")
         if (num.isdecimal() or num[:1] == "-" and num[1:].isdecimal()) and (
@@ -681,8 +673,13 @@ def _ratio(v, where: str) -> tuple[int, int]:
                     return p, q
             except ValueError:  # more digits than int() reads; Fraction fails too
                 pass
-    r = _rational(v, where)
-    return r.numerator, r.denominator
+    if type(v) in (str, int):
+        try:
+            r = Fraction(v)
+            return r.numerator, r.denominator
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"tree JSON: {where} is not a rational number")
 
 
 def _ints(v, where: str) -> tuple:
@@ -693,7 +690,7 @@ def _ints(v, where: str) -> tuple:
 
 
 def _rationals(v, where: str) -> tuple:
-    return tuple(_rational(x, where) for x in _list(v, where))
+    return tuple(Fraction(*_ratio(x, where)) for x in _list(v, where))
 
 
 def _matrix(v, where: str) -> tuple:
@@ -765,7 +762,8 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
             shear = _opt(nd["prep"]["shear"], _jet_from_json, f"the shear of {where}")
             if shear is not None and shear.nvars != n - 1:
                 raise ValueError(f"tree JSON: the shear of {where} is not in {n - 1} variables")
-            prep = Preparation(matrix, shear)
+            if matrix is not None or shear is not None:
+                prep = Preparation(matrix, shear)
         leaf = nd["leaf_checks"]
         if leaf is not None:
             _require(leaf, ("strict_transform", "ledger"), f"the leaf checks of {where}")
@@ -845,14 +843,14 @@ def _transform_ledger(ledger: ExceptionalLedger, chart: ChartMap, trunc: int):
         pulled = chart.pullback(e.jet)
         if pulled.is_zero():
             raise AlgorithmError(f"exceptional entry {e.eid} vanished under pullback")
-        power, core = pulled.factor_coordinate_power(chart.exceptional_index)
+        power, core = pulled.factor_coordinate_power(chart.chart_index)
         if power > 1:
             raise AlgorithmError(f"exceptional entry {e.eid} is not smooth along the center")
         if core.constant_term != 0:
             continue
         entries.append(LedgerEntry(e.eid, core, ORIGIN_STRICT))
-    y = Jet.variable(chart.exceptional_index, chart.nvars, trunc)
-    entries.append(LedgerEntry(ledger.next_id(), y, ORIGIN_NEW))
+    y = Jet.variable(chart.chart_index, chart.nvars, trunc)
+    entries.append(LedgerEntry(ledger.watermark, y, ORIGIN_NEW))
     return ExceptionalLedger(entries, ledger.watermark)
 
 
@@ -861,7 +859,7 @@ def _chart_model(model: LocalModel, chart: ChartMap, divide: int, prepared: bool
     powers of the exceptional coordinate taken out, and the ledger through it."""
     g = chart.pullback(model.g)
     for _ in range(divide):
-        g = g.divide_by_coordinate(chart.exceptional_index)
+        g = g.divide_by_coordinate(chart.chart_index)
     return _model(g, _transform_ledger(model.ledger, chart, g.trunc), prepared)
 
 
@@ -874,10 +872,10 @@ def _pair_at(model: LocalModel, phase: _PhaseState | None):
 
 def _blowup_node(model, phase, prep, chart, assumptions, budget=None):
     """The node of one blow-up chart, or of a coordinate change when ``chart``
-    is None, whose origin carries ``model``; a trivial ``prep`` is dropped."""
+    is None, whose origin carries ``model``."""
     return Node(
         KIND_BLOWUP,
-        prep=None if prep is None or prep.is_trivial else prep,
+        prep=prep,
         center=None if chart is None else chart.center.indices,
         chart_index=None if chart is None else chart.chart_index,
         identity=chart is None or chart.center.is_identity_blowup,
@@ -899,7 +897,7 @@ def _leaf_node(model: LocalModel, assumptions=(), **extra):
     """The leaf at an origin whose checks the driver passed; ``extra`` adds
     keys to its leaf checks."""
     checks = {
-        "strict_order": model.g.order().value,
+        "strict_order": model.g.order(),
         "crossings_ok": True,
         "passed": True,
         "strict_transform": model.g,
@@ -948,14 +946,14 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
     if front_entry is None:
         d_front = model.d
         _check_trunc(model.g, d_front + 2)
-        prepped, prep = prepare_local_model(model.g, model.ledger, d_front)
+        prepped, prep = prepare_local_model(model.g, model.ledger)
     else:
         d_front = 1
         front = next(e.jet for e in model.ledger if e.eid == front_entry)
         _check_trunc(front, 3)
-        _, prep = prepare_local_model(front, ExceptionalLedger(), 1)
+        _, prep = prepare_local_model(front, ExceptionalLedger())
         prepped = replace(model, prepared=True)
-        if not prep.is_trivial:
+        if prep is not None:
             prepped = _apply_prep_model(model, prep)
     assumptions = []
     cs, bs = coefficient_data(prepped, d_front)
@@ -982,7 +980,7 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
         c_keys=tuple(q for q, mf in sorted(cs.items()) if mf is not None),
         start_pair=(prepped.d, len(old_ids)),
     )
-    data = _active_data(cs, bs, phase)
+    data = _active_data(cs, bs, phase, prepped.g.trunc)
     if not data:
         return _finish_phase_no_data(prepped, prep, phase, ctx, depth, assumptions)
     omegas, comparable = _omega_of(data, phase)
@@ -998,15 +996,17 @@ def _check_trunc(g: Jet, need: int):
         )
 
 
-def _active_data(cs, bs, phase: _PhaseState):
-    """The phase's data among ``cs, bs``: the contact coefficients active at
-    its start, and its old exceptionals not tangent to {x_n = 0} (a tangent
-    one is left to the contact blow-up at the end)."""
+def _active_data(cs, bs, phase: _PhaseState, trunc: int):
+    """The phase's data among ``cs, bs``, the coefficient data of a model
+    whose g has truncation ``trunc``: the contact coefficients active at its
+    start, and its old exceptionals not tangent to {x_n = 0} (a tangent one
+    is left to the contact blow-up at the end)."""
     data = {}
     for q in phase.c_keys:
         if cs[q] is None:
             raise TruncationError(
-                "a contact coefficient vanished mid-phase; certified degrees exhausted"
+                f"contact coefficient q={q} vanished mid-phase to its certified "
+                f"degree {trunc - q}; increase the truncation"
             )
         data[("c", q)] = cs[q]
     for eid in phase.old_ids:
@@ -1074,7 +1074,7 @@ def _reduce_then_loop(prepped, prep, phase, data, ctx, depth, assumptions):
 
 
 def _lift_prep(prep: Preparation | None):
-    if prep is None or prep.is_trivial:
+    if prep is None:
         return None
     matrix = None
     if prep.matrix is not None:
@@ -1099,8 +1099,7 @@ def _lift_transform(sd: Node, umodel: LocalModel):
     if sd.center is None:
         return work, lifted_prep, None
     chart = ChartMap(Center(tuple(sd.center), work.nvars), sd.chart_index)
-    mu = order_along_center(work.g, chart.center)
-    if mu.is_finite and mu.value != 0:
+    if work.g.order_along(chart.center.indices) not in (0, None):
         raise AlgorithmError("a lifted center met the hypersurface equimultiply")
     return _chart_model(work, chart, 0, prepared=True), lifted_prep, chart
 
@@ -1110,7 +1109,7 @@ def _lift_walk(sub_nodes, umodel, prep, phase, ctx, depth, assumptions):
     out = []
     for sd in sub_nodes:
         if sd.kind == KIND_LEAF:
-            data = _active_data(*coefficient_data(umodel, phase.d), phase)
+            data = _active_data(*coefficient_data(umodel, phase.d), phase, umodel.g.trunc)
             if not data:
                 out.extend(
                     _finish_phase_no_data(umodel, prep, phase, ctx, depth, list(assumptions))
@@ -1148,9 +1147,9 @@ def _lift_walk(sub_nodes, umodel, prep, phase, ctx, depth, assumptions):
 
 
 def _merge_preps(a: Preparation | None, b: Preparation | None):
-    if a is None or a.is_trivial:
+    if a is None:
         return b
-    if b is None or b.is_trivial:
+    if b is None:
         return a
     raise AlgorithmError("two coordinate preparations met at one node")
 
@@ -1177,7 +1176,7 @@ def _finish_phase_no_data(model, prep, phase, ctx, depth, assumptions):
 
 def _attach_prep(model, prep, phase, children, assumptions):
     """Record a preparation that produced no blow-up as a coordinate-change node."""
-    if prep is None or prep.is_trivial:
+    if prep is None:
         for ch in children:
             ch.assumptions = list(assumptions) + list(ch.assumptions)
         return children
@@ -1209,8 +1208,7 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
     m = model.nvars - 1
     chart = ChartMap(center, i)
     if phase.front_entry is None:
-        mu = order_along_center(model.g, center)
-        if not mu.is_finite or mu.value != phase.d:
+        if model.g.order_along(center.indices) != phase.d:
             raise AlgorithmError("the chosen center is not equimultiple for the hypersurface")
     child = _chart_model(model, chart, phase.d, prepared=True)
     positions = [j for j in center.indices if j != m]
@@ -1232,7 +1230,7 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
     if i == m or not front_persists:
         node.children = _continue(child, ctx, depth + 1)
         return node
-    data = _active_data(*coefficient_data(child, phase.d), phase)
+    data = _active_data(*coefficient_data(child, phase.d), phase, child.g.trunc)
     if not data:
         node.children = _finish_phase_no_data(child, None, phase, ctx, depth + 1, [])
         return node
@@ -1450,7 +1448,7 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
             return state
         # step: the parent's coordinates as functions of this node's
         prep, step = node.prep, None
-        if prep is not None and not prep.is_trivial:
+        if prep is not None:
             strict, ledger, step = _apply_prep(prep, strict, ledger, maps.trunc)
             if prep.matrix is not None:
                 dets *= mat_det(prep.matrix)
@@ -1460,7 +1458,7 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
             if pulled.is_zero():
                 power, strict = 0, pulled
             else:
-                power, strict = pulled.factor_coordinate_power(chart.exceptional_index)
+                power, strict = pulled.factor_coordinate_power(chart.chart_index)
             ledger = _transform_ledger(ledger, chart, strict.trunc)
             chart_map = chart.components(maps.trunc)
             step = chart_map if step is None else compose_maps(step, chart_map)
@@ -1556,7 +1554,7 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
     # leaf conditions (mode dependent: resolution wants a smooth strict
     # transform, monomialization wants the whole pullback monomial)
     monomial_mode = tree.mode in (MONOMIALIZE, RECTILINEARIZE)
-    strict_order = strict.order().value
+    strict_order = strict.order()
     smooth_check = not monomial_mode and not strict.is_zero()
     if smooth_check and strict_order > 1:
         reasons.append(f"strict transform has order {strict_order}")

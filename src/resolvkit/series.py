@@ -202,43 +202,6 @@ def _mul_numerators(a: dict[int, int], b: dict[int, int], limit: int) -> dict[in
     return out
 
 
-class OrderResult:
-    """Order of a jet at the origin: finite value or above the truncation.
-
-    ``Finite(k)`` means the lowest stored term has total degree ``k``; the
-    zero jet gives ``AboveTruncation`` since a nonzero term of higher degree
-    cannot be ruled out from the stored data.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | None = None):
-        self.value = value
-
-    @classmethod
-    def finite(cls, k: int) -> "OrderResult":
-        return cls(int(k))
-
-    @classmethod
-    def above_truncation(cls) -> "OrderResult":
-        return cls(None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __eq__(self, other):
-        return isinstance(other, OrderResult) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("OrderResult", self.value))
-
-    def __repr__(self):
-        if self.value is None:
-            return "AboveTruncation"
-        return f"Finite({self.value})"
-
-
 class Jet:
     """Truncated power series with exact rational coefficients.
 
@@ -306,11 +269,6 @@ class Jet:
         _check_frame(nvars, trunc)
         nums = {_frame(nvars, trunc).weights[i]: 1} if trunc else {}
         return cls._packed(nvars, trunc, nums, 1)
-
-    @classmethod
-    def monomial(cls, alpha, coeff, trunc: int) -> "Jet":
-        alpha = tuple(int(a) for a in alpha)
-        return cls(len(alpha), trunc, {alpha: _frac(coeff)})
 
     # -- basic views -------------------------------------------------------
 
@@ -492,19 +450,23 @@ class Jet:
             f = f.partial(i)
         return f
 
-    def order(self) -> OrderResult:
-        """Order at the origin (lowest stored total degree)."""
+    def order(self) -> int | None:
+        """Order at the origin (lowest stored total degree); None for the
+        zero jet, which vanishes to its truncation, since a nonzero term of
+        higher degree cannot be ruled out from the stored data."""
         if not self._nums:
-            return OrderResult.above_truncation()
-        return OrderResult.finite(min(self._nums) // _frame(self.nvars, self.trunc).top)
+            return None
+        return min(self._nums) // _frame(self.nvars, self.trunc).top
 
-    def order_along(self, indices) -> OrderResult:
-        """Order along the coordinate subspace {x_i = 0, i in indices}."""
+    def order_along(self, indices) -> int | None:
+        """Order along the coordinate subspace {x_i = 0, i in indices}: the
+        least total exponent on those coordinates of a stored term; None for
+        the zero jet."""
         if not self._nums:
-            return OrderResult.above_truncation()
+            return None
         frame = _frame(self.nvars, self.trunc)
         offs, m = [frame.offsets[i] for i in sorted(set(indices))], frame.mask
-        return OrderResult.finite(min(sum((k >> o) & m for o in offs) for k in self._nums))
+        return min(sum((k >> o) & m for o in offs) for k in self._nums)
 
     def eval_at(self, point) -> Fraction:
         point = [_frac(p) for p in point]
@@ -832,7 +794,7 @@ def _jet_det(m) -> Jet:
     return total
 
 
-def _substitute_all(fs, g, base) -> list[Jet]:
+def _substitute_all(fs, g) -> list[Jet]:
     """f(g_1, ..., g_p) for every f of ``fs`` (jets of one frame), as
     :func:`substitute` describes; the powers of the g_i are built once and
     shared by every f."""
@@ -847,17 +809,8 @@ def _substitute_all(fs, g, base) -> list[Jet]:
         raise ShapeError("map components disagree on variable count")
     T = min([f.trunc for f in fs] + [c.trunc for c in comps])
     comps = [c.with_truncation(T) for c in comps]
-    if base is not None:
-        base = [_frac(b) for b in base]
-        if len(base) != len(comps):
-            raise ShapeError("base point dimension does not match component count")
-        for b, c in zip(base, comps):
-            if c.constant_term != b:
-                raise ShapeError("base point does not match map value at the origin")
-    elif any(c.is_unit() for c in comps):
-        base = [c.constant_term for c in comps]
-    if base is not None and any(base):
-        fs = [f.recenter(base) for f in fs]
+    if any(c.is_unit() for c in comps):
+        fs = [f.recenter([c.constant_term for c in comps]) for f in fs]
     fs = [f.with_truncation(T) for f in fs]
     unpack = _frame(p, T).unpack
     limit = _frame(n, T).limit
@@ -888,20 +841,20 @@ def _substitute_all(fs, g, base) -> list[Jet]:
     return out_jets
 
 
-def substitute(f: Jet, g, base=None) -> Jet:
+def substitute(f: Jet, g) -> Jet:
     """Truncated composite f(g_1, ..., g_p) with exact coefficients.
 
     ``g`` is a PolyMap (or list of jets) whose component count matches the
-    variable count of ``f``.  ``base`` defaults to g(0); when nonzero, ``f``
-    is recentered at ``base`` before substitution.  The result is certified
-    to the smallest truncation among the inputs.
+    variable count of ``f``.  When g(0) is nonzero, ``f`` is recentered at
+    g(0) before substitution.  The result is certified to the smallest
+    truncation among the inputs.
     """
-    return _substitute_all([f], g, base)[0]
+    return _substitute_all([f], g)[0]
 
 
 def compose_maps(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """Map composition outer(inner(x)), component by component."""
-    return PolyMap(_substitute_all(outer.components, inner, None))
+    return PolyMap(_substitute_all(outer.components, inner))
 
 
 def linear_change(f: Jet, rows) -> Jet:
@@ -912,7 +865,7 @@ def linear_change(f: Jet, rows) -> Jet:
     if mat_det(rows) == 0:
         raise PivotError("linear change requires an invertible matrix")
     # new variable k contributes column k: x_old_j = sum_k A[j][k] x_new_k
-    return substitute(f, PolyMap.from_matrix(rows, f.trunc), base=[0] * n)
+    return substitute(f, PolyMap.from_matrix(rows, f.trunc))
 
 
 def _degree_part(jet: Jet, k: int, frame: _Frame) -> dict[int, int]:

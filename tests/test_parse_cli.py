@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import resolvkit
-from resolvkit import resolve
+from resolvkit import cli, resolve
 from resolvkit.cli import main
 from resolvkit.parse import ParseError, parse_many, parse_polynomial
 from resolvkit.resolve import AlgorithmError
@@ -100,12 +100,22 @@ class TestCliRuns:
         code, text = run_cli(["resolve", "y^4+x^4*y^3", "--truncation", "16"])
         assert code == 3
         assert text == (
-            "error: a contact coefficient vanished mid-phase; "
-            "certified degrees exhausted\n"
+            "error: contact coefficient q=1 vanished mid-phase to its certified "
+            "degree 8; increase the truncation\n"
         )
         code, text = run_cli(["resolve", "y^4+x^4*y^3", "--truncation", "24", "--verify"])
         assert code == 0
         assert "verified: True" in text
+
+    def test_shear_that_spends_the_truncation_exits_three(self):
+        # a reduction germ of order 18 keeps 4 certified degrees after its
+        # shear, too few for the unit check of its contact derivative
+        code, text = run_cli(["resolve", "x*y*z"])
+        assert (code, text) == (
+            3,
+            "error: the shear to the contact hypersurface left certified degree 4, "
+            "below the order 18; increase the truncation\n",
+        )
 
     def test_leading_minus_needs_double_dash(self):
         code, text = run_cli(["resolve", "-x^2+y^3"])
@@ -355,6 +365,15 @@ class TestMalformedTree:
         assert code == 0
         assert "verified: True" in text
 
+    def test_prep_with_neither_matrix_nor_shear_reads_as_none(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        node = next(nd for nd in data["nodes"] if nd["kind"] == "BlowupChart" and not nd["prep"])
+        node["prep"] = {"matrix": None, "shear": None}
+        assert resolve.tree_from_json_dict(data).nodes[node["id"]].prep is None
+        code, text = _verify_data(tmp_path, data)
+        assert code == 0
+        assert "verified: True" in text
+
     def test_missing_node_key(self, tmp_path):
         data = _cusp_tree(tmp_path)
         del data["nodes"][3]["kind"]
@@ -528,6 +547,20 @@ class TestMalformedTree:
         assert (code, text) == (4, "error: node 4: audit invariant\n")
         code, text = run_cli(["resolve", "y^2 - x^3", "--verify"])
         assert (code, text) == (5, "error: node 4: audit invariant\n")
+
+    def test_value_error_in_the_verify_after_a_run(self, tmp_path, monkeypatch):
+        # the same ValueError is a bad file under verify (exit 4) and a fault
+        # of the resolver when it checks the tree it just built (exit 5)
+        data = _cusp_tree(tmp_path)
+
+        def broken(tree):
+            raise ValueError("node 3: replay fault")
+
+        monkeypatch.setattr(cli, "verify_resolution", broken)
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (4, "error: node 3: replay fault\n")
+        code, text = run_cli(["resolve", "y^2 - x^3", "--verify"])
+        assert (code, text) == (5, "error: node 3: replay fault\n")
 
 
 class TestIncompleteTree:
