@@ -120,20 +120,15 @@ class GrowthSequence:
             self._check_index(k)
         if self.kind == CONSTANT:
             return 0
-        if self.kind == GEVREY:
-            left = 1
-            for k, e in lhs:
-                left *= factorial(k + self.shift) ** e
-            right = 1
-            for k, e in rhs:
-                right *= factorial(k + self.shift) ** e
-            return (left > right) - (left < right)
-        left = Fraction(1)
-        for k, e in lhs:
-            left *= self.prefix[k + self.shift] ** e
-        right = Fraction(1)
-        for k, e in rhs:
-            right *= self.prefix[k + self.shift] ** e
+        base = factorial if self.kind == GEVREY else self.prefix.__getitem__
+
+        def product(side):
+            value = 1
+            for k, e in side:
+                value *= base(k + self.shift) ** e
+            return value
+
+        left, right = product(lhs), product(rhs)
         return (left > right) - (left < right)
 
 
@@ -227,8 +222,7 @@ def quasianalytic_test(m: GrowthSequence, depth: int = 16) -> SequenceVerdict:
         return SequenceVerdict(QUASIANALYTIC)
     if m.kind == GEVREY:
         return SequenceVerdict(NOT_QUASIANALYTIC)
-    max_terms = len(m.prefix) - 1 - m.shift
-    K = min(depth, max_terms)
+    K = min(depth, m.available)
     total = Fraction(0)
     for k in range(K):
         total += m.term(k) / ((k + 1) * m.term(k + 1))
@@ -253,7 +247,7 @@ def derivation_closure_test(m: GrowthSequence, depth: int = 16) -> DerivationClo
     """
     if m.kind in (CONSTANT, GEVREY):
         return DerivationClosureResult("closed")
-    avail = len(m.prefix) - 1 - m.shift
+    avail = m.available
     best_k = None
     best_ratio = None
     for k in range(1, min(depth, avail) + 1):

@@ -572,13 +572,18 @@ def _jet_json(j: Jet) -> dict:
     return {"nvars": j.nvars, "trunc": j.trunc, "terms": j.json_terms()}
 
 
-def _jet_from_json(d, where: str) -> Jet:
-    """Read a jet with the checks of the validating ``Jet(...)``; a bad value
-    raises ValueError naming ``where``.  The coefficients are read as
-    integer ratios (:func:`_ratio`) and packed by :meth:`Jet.from_ratios`.
-    An exponent listed twice is a ValueError: the writer lists each once, and
-    ``Jet(...)`` would sum such terms where a plain map keeps the later one."""
+def _jet_from_json(d, where: str, nvars: int, wrong_frame: str = "") -> Jet:
+    """Read a jet in ``nvars`` variables with the checks of the validating
+    ``Jet(...)``; a bad value raises ValueError naming ``where`` (another
+    nvars first, as packing costs the square of it, with the text
+    ``wrong_frame`` if given).  The coefficients are read as integer ratios
+    (:func:`_ratio`) and packed by :meth:`Jet.from_ratios`.  An exponent
+    listed twice is a ValueError: the writer lists each once, and ``Jet(...)``
+    would sum such terms where a plain map keeps the later one."""
     _require(d, ("nvars", "trunc", "terms"), where)
+    if _int(d["nvars"], f"nvars of {where}") != nvars:
+        wrong_frame = wrong_frame or f"{where} has {d['nvars']} variables, not {nvars}"
+        raise ValueError(f"tree JSON: {wrong_frame}")
     exponent, coefficient = f"an exponent of {where}", f"a coefficient of {where}"
     ratios = {}
     for t in _list(d["terms"], f"the terms of {where}"):
@@ -588,7 +593,6 @@ def _jet_from_json(d, where: str) -> Jet:
         if alpha in ratios:
             raise ValueError(f"tree JSON: {where} lists exponent {list(alpha)} twice")
         ratios[alpha] = _ratio(t[1], coefficient)
-    nvars = _int(d["nvars"], f"nvars of {where}")
     trunc = _int(d["trunc"], f"trunc of {where}")
     try:
         return Jet.from_ratios(nvars, trunc, ratios)
@@ -707,11 +711,10 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
 
     Raises ValueError, naming the key or node id, on a wrong format, an
     unknown mode, a missing key, a value of the wrong type, a duplicate node
-    id, a parent that does not precede its child, input jets in different
-    frames, a base point of another length, a prep matrix that is not square
-    of the frame's size or is singular, a shear not in one variable fewer, or
-    a jet that lists one exponent twice.  Jets are read with the checks of
-    the validating ``Jet(...)``.
+    id, a parent that does not precede its child, a jet, base point or prep
+    matrix not in the frame of ``variables``, a singular prep matrix, a shear
+    not in one variable fewer, or a jet that lists one exponent twice.  Jets
+    are read with the checks of the validating ``Jet(...)``.
     """
     _require(data, _TREE_KEYS, "the tree")
     if data["format"] != TREE_FORMAT:
@@ -729,12 +732,9 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
     tree = ResolutionTree.__new__(ResolutionTree)
     tree.mode = data["mode"]
     tree.config = cfg
-    tree.input_jets = tuple(_jet_from_json(j, f"input jet {k}") for k, j in enumerate(inputs))
-    n = tree.input_jets[0].nvars
-    for k, j in enumerate(tree.input_jets):
-        if j.nvars != n:
-            raise ValueError(f"tree JSON: input jet {k} has {j.nvars} variables, not {n}")
     tree.var_names = tuple(_list(data["variables"], "variables"))
+    n = len(tree.var_names)
+    tree.input_jets = tuple(_jet_from_json(j, f"input jet {k}", n) for k, j in enumerate(inputs))
     nodes, by_id = [], {}
     for pos, nd in enumerate(_list(data["nodes"], "nodes")):
         _require(nd, _NODE_KEYS, f"node entry {pos}")
@@ -759,9 +759,10 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
                 raise ValueError(f"tree JSON: the prep matrix of {where} is not {n}x{n}")
             if matrix is not None and mat_det(matrix) == 0:
                 raise ValueError(f"tree JSON: the prep matrix of {where} is singular")
-            shear = _opt(nd["prep"]["shear"], _jet_from_json, f"the shear of {where}")
-            if shear is not None and shear.nvars != n - 1:
-                raise ValueError(f"tree JSON: the shear of {where} is not in {n - 1} variables")
+            shear = nd["prep"]["shear"]
+            if shear is not None:
+                frame = f"the shear of {where} is not in {n - 1} variables"
+                shear = _jet_from_json(shear, f"the shear of {where}", n - 1, frame)
             if matrix is not None or shear is not None:
                 prep = Preparation(matrix, shear)
         leaf = nd["leaf_checks"]
@@ -770,9 +771,9 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
             ledger = []
             for e in _list(leaf["ledger"], f"the ledger of {where}"):
                 _require(e, ("eid", "jet", "origin"), f"a ledger entry of {where}")
-                jet = _jet_from_json(e["jet"], f"a ledger jet of {where}")
+                jet = _jet_from_json(e["jet"], f"a ledger jet of {where}", n)
                 ledger.append(LedgerEntry(e["eid"], jet, e["origin"]))
-            strict = _jet_from_json(leaf["strict_transform"], f"the strict transform of {where}")
+            strict = _jet_from_json(leaf["strict_transform"], f"the strict transform of {where}", n)
             leaf = dict(leaf, strict_transform=strict, ledger=ledger)
         base_point = _opt(nd["base_point"], _rationals, f"the base point of {where}")
         if base_point is not None and len(base_point) != n:
@@ -870,7 +871,7 @@ def _pair_at(model: LocalModel, phase: _PhaseState | None):
     return (model.d, len([i for i in phase.old_ids if i in through]))
 
 
-def _blowup_node(model, phase, prep, chart, assumptions, budget=None):
+def _blowup_node(model, phase, chart, prep=None, assumptions=(), budget=None):
     """The node of one blow-up chart, or of a coordinate change when ``chart``
     is None, whose origin carries ``model``."""
     return Node(
@@ -982,11 +983,21 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
     )
     data = _active_data(cs, bs, phase, prepped.g.trunc)
     if not data:
-        return _finish_phase_no_data(prepped, prep, phase, ctx, depth, assumptions)
-    omegas, comparable = _omega_of(data, phase)
-    if omegas is not None and comparable:
-        return _monomial_loop(prepped, prep, phase, omegas, ctx, depth, assumptions)
-    return _reduce_then_loop(prepped, prep, phase, data, ctx, depth, assumptions)
+        nodes = _finish_phase_no_data(prepped, phase, ctx, depth)
+    else:
+        omegas, comparable = _omega_of(data, phase)
+        if omegas is not None and comparable:
+            nodes = _monomial_loop(prepped, phase, omegas, ctx, depth)
+        else:
+            nodes = _reduce_then_loop(prepped, prep, phase, data, ctx, depth, assumptions)
+    # the phase's preparation and assumptions go on each node it emits first:
+    # every chart of its first blow-up, its contact blow-up, or a first lifted
+    # node, which keeps its lifted preparation when the phase has none
+    for node in nodes:
+        if prep is not None:
+            node.prep = prep
+        node.assumptions = assumptions + node.assumptions
+    return nodes
 
 
 def _check_trunc(g: Jet, need: int):
@@ -1066,11 +1077,15 @@ def _reduction_product(data, scale: int, assumptions):
 
 
 def _reduce_then_loop(prepped, prep, phase, data, ctx, depth, assumptions):
-    """Monomialize the data by a lower-dimensional run, lifted chart by chart."""
+    """Monomialize the data by a lower-dimensional run, lifted chart by chart;
+    ``assumptions`` gains the reduction's.  The top lifted nodes will carry
+    the phase's ``prep``, so none of them may carry a lifted one too."""
     prod_jet = _reduction_product(data, phase.scale, assumptions)
     sub_ctx = _Ctx(config=ctx.config, mode=MONOMIALIZE)
     sub_children = _run_germ(prod_jet, sub_ctx, depth)
-    return _lift_walk(sub_children, prepped, prep, phase, ctx, depth, assumptions)
+    if prep is not None and any(sd.prep is not None for sd in sub_children):
+        raise AlgorithmError("two coordinate preparations met at one node")
+    return _lift_walk(sub_children, prepped, phase, ctx, depth)
 
 
 def _lift_prep(prep: Preparation | None):
@@ -1104,57 +1119,36 @@ def _lift_transform(sd: Node, umodel: LocalModel):
     return _chart_model(work, chart, 0, prepared=True), lifted_prep, chart
 
 
-def _lift_walk(sub_nodes, umodel, prep, phase, ctx, depth, assumptions):
+def _lift_walk(sub_nodes, umodel, phase, ctx, depth):
     """Mirror a reduction subtree in the ambient frame, then resume the phase."""
     out = []
     for sd in sub_nodes:
         if sd.kind == KIND_LEAF:
             data = _active_data(*coefficient_data(umodel, phase.d), phase, umodel.g.trunc)
             if not data:
-                out.extend(
-                    _finish_phase_no_data(umodel, prep, phase, ctx, depth, list(assumptions))
-                )
+                out.extend(_finish_phase_no_data(umodel, phase, ctx, depth))
                 continue
             omegas, comparable = _omega_of(data, phase)
             if omegas is None or not comparable:
                 raise AlgorithmError(
                     "reduction finished but the data are not monomial and comparable"
                 )
-            out.extend(
-                _monomial_loop(umodel, prep, phase, omegas, ctx, depth, list(assumptions))
-            )
+            out.extend(_monomial_loop(umodel, phase, omegas, ctx, depth))
             continue
         if sd.kind != KIND_BLOWUP:
             raise AlgorithmError("unexpected node kind inside a reduction subtree")
         child_model, lifted_prep, chart = _lift_transform(sd, umodel)
-        node_prep = _merge_preps(prep, lifted_prep)
         if chart is not None:
             _check_path_budget(ctx, depth + 1)
-        node = _blowup_node(
-            child_model, phase, node_prep, chart, list(assumptions) + list(sd.assumptions)
-        )
+        node = _blowup_node(child_model, phase, chart, lifted_prep, sd.assumptions)
         node.children = _lift_walk(
-            sd.children,
-            child_model,
-            None,
-            phase,
-            ctx,
-            depth + (0 if sd.center is None else 1),
-            [],
+            sd.children, child_model, phase, ctx, depth + (0 if sd.center is None else 1)
         )
         out.append(node)
     return out
 
 
-def _merge_preps(a: Preparation | None, b: Preparation | None):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    raise AlgorithmError("two coordinate preparations met at one node")
-
-
-def _finish_phase_no_data(model, prep, phase, ctx, depth, assumptions):
+def _finish_phase_no_data(model, phase, ctx, depth):
     """No active data at this origin: either finished, or one contact blow-up."""
     n = model.nvars
     tangent = any(
@@ -1164,28 +1158,16 @@ def _finish_phase_no_data(model, prep, phase, ctx, depth, assumptions):
     # an endgame front (d = 0) must itself be absorbed to break the crossing
     needs_contact = tangent or phase.d >= 2 or not _crossings(model, phase.d).ok
     if not needs_contact:
-        children = _continue(model, ctx, depth)
-        return _attach_prep(model, prep, phase, children, assumptions)
+        return _continue(model, ctx, depth)
     chart = ChartMap(Center((n - 1,), n), n - 1)
     child_model = _chart_model(model, chart, phase.d, prepared=False)
     _check_path_budget(ctx, depth + 1)
-    node = _blowup_node(child_model, phase, prep, chart, assumptions)
+    node = _blowup_node(child_model, phase, chart)
     node.children = _continue(child_model, ctx, depth + 1)
     return [node]
 
 
-def _attach_prep(model, prep, phase, children, assumptions):
-    """Record a preparation that produced no blow-up as a coordinate-change node."""
-    if prep is None:
-        for ch in children:
-            ch.assumptions = list(assumptions) + list(ch.assumptions)
-        return children
-    node = _blowup_node(model, phase, prep, None, assumptions)
-    node.children = children
-    return [node]
-
-
-def _monomial_loop(model, prep, phase, omegas, ctx, depth, assumptions):
+def _monomial_loop(model, phase, omegas, ctx, depth):
     """Blow up combinatorial centers until the invariant pair drops."""
     _, omega = least_omega(omegas)
     if omega.total < omega.scale:
@@ -1197,13 +1179,10 @@ def _monomial_loop(model, prep, phase, omegas, ctx, depth, assumptions):
             f"phase stretch exceeded its budget of {phase.stretch_limit} blow-ups"
         )
     center = monomial_centers(omega)[0]
-    return [
-        _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptions)
-        for i in center.indices
-    ]
+    return [_monomial_child(model, center, i, omegas, phase, ctx, depth) for i in center.indices]
 
 
-def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptions):
+def _monomial_child(model, center, i, omegas, phase, ctx, depth):
     """Blow up ``center`` in chart i and continue from the chart origin."""
     m = model.nvars - 1
     chart = ChartMap(center, i)
@@ -1215,7 +1194,7 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
     predicted = {} if i == m else {k: om.updated(positions, i) for k, om in omegas.items()}
     _check_path_budget(ctx, depth + 1)
     budget = {"limit": phase.stretch_limit, "step": phase.stretch_step + 1}
-    node = _blowup_node(child, phase, prep, chart, assumptions, budget)
+    node = _blowup_node(child, phase, chart, budget=budget)
     if tuple(node.pair) > tuple(phase.start_pair):
         raise AlgorithmError(
             f"invariant pair increased: {phase.start_pair} -> {node.pair}"
@@ -1232,7 +1211,7 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
         return node
     data = _active_data(*coefficient_data(child, phase.d), phase, child.g.trunc)
     if not data:
-        node.children = _finish_phase_no_data(child, None, phase, ctx, depth + 1, [])
+        node.children = _finish_phase_no_data(child, phase, ctx, depth + 1)
         return node
     omegas2, key = _omega_of(data, phase)
     if omegas2 is None:
@@ -1262,7 +1241,7 @@ def _monomial_child(model, center, i, omegas, prep, phase, ctx, depth, assumptio
         )
     else:
         phase = replace(phase, stretch_step=phase.stretch_step + 1)
-    node.children = _monomial_loop(child, None, phase, omegas2, ctx, depth + 1, [])
+    node.children = _monomial_loop(child, phase, omegas2, ctx, depth + 1)
     return node
 
 
@@ -1301,7 +1280,7 @@ def _absorb(model: LocalModel, crossings):
     child_model = _chart_model(work, chart, 1, prepared=False)
     if child_model.g.constant_term == 0:
         raise AlgorithmError("absorbing the strict transform failed")
-    blow = _blowup_node(child_model, None, prep, chart, ())
+    blow = _blowup_node(child_model, None, chart, prep)
     blow.children = [_leaf_node(child_model, absorbed=True)]
     return blow
 
@@ -1326,6 +1305,8 @@ def _drive(mode: str, g: Jet, input_jets, config: RunConfig | None, var_names):
     """Run ``mode`` on the germ g; the tree records ``input_jets``."""
     config = config or RunConfig()
     names = tuple(var_names) if var_names else tuple(default_names(g.nvars))
+    if len(names) != g.nvars:  # the tree reader takes its frame from the names
+        raise ShapeError(f"{len(names)} variable names for a germ in {g.nvars} variables")
     roots = _root_nodes(g, _Ctx(config=config, mode=mode))
     return ResolutionTree(mode, config, input_jets, names, roots)
 

@@ -12,12 +12,20 @@ values on fixed tables; a change that alters the JSON on purpose (a new
 format) updates them in the same change and says why.  The output of
 ``resolvkit verify`` on each pinned tree is pinned too, since the verifier's
 replay is the path every correctness claim rests on.
+
+``tools/identity_runs.txt`` pins the printout of ``tools/identity_digest.py``:
+one line per run of the bench corpus and of its extra runs, then four
+digests.  A change that moves output on purpose rewrites that file, so its
+diff names each run that moved.
 """
 
 import hashlib
 import io
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +215,13 @@ def test_compose_coefficient_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "98f9724da5d56e2076a16b31c58804d746be91cceb8fa26d8df9aa2959de9c75"
     )
+
+
+def test_identity_digest_runs():
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    proc = subprocess.run(
+        [sys.executable, str(tools / "identity_digest.py")],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == (tools / "identity_runs.txt").read_text().splitlines()

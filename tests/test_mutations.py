@@ -110,6 +110,25 @@ def perturbed_lowest_shear_term(text):
             yield node["id"], data
 
 
+def dropped_prep(text):
+    """A node loses its preparation; a phase's preparation is stored on each
+    chart of its first blow-up, and every one of them needs it."""
+    for pos, node in enumerate(json.loads(text)["nodes"]):
+        if node["prep"] is not None:
+            data = json.loads(text)
+            data["nodes"][pos]["prep"] = None
+            yield node["id"], data
+
+
+def perturbed_composed_map_term(text):
+    for pos, node in enumerate(json.loads(text)["nodes"]):
+        for k, component in enumerate(node.get("composed_map") or []):
+            if component["terms"]:
+                data = json.loads(text)
+                _bump(_lowest_term(data["nodes"][pos]["composed_map"][k]))
+                yield (node["id"], k), data
+
+
 def moved_base_point(text):
     for pos, node in enumerate(json.loads(text)["nodes"]):
         if node["base_point"] is not None:
@@ -152,10 +171,12 @@ MUTATIONS = [
     swapped_ledger_entries,
     perturbed_prep_matrix_entry,
     perturbed_lowest_shear_term,
+    dropped_prep,
     moved_base_point,
     spliced_out_blowup,
     perturbed_leaf_strict_transform,
     perturbed_input_term,
+    perturbed_composed_map_term,
 ]
 
 

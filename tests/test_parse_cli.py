@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -485,6 +486,7 @@ class TestMalformedTree:
         assert "the base point of node 0 has 1 coordinates, not 2" in text
 
     def test_input_jet_in_another_frame(self, tmp_path):
+        # the frame is the number of variables, not the first input jet's
         data = _cusp_tree(tmp_path)
         jet = data["input"][0]
         jet["nvars"] = 3
@@ -492,11 +494,43 @@ class TestMalformedTree:
             term[0].append(0)
         code, text = _verify_data(tmp_path, data)
         assert code == 4
+        assert "input jet 0 has 3 variables, not 2" in text
+        data["variables"].append("z")
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
         assert "the base point of node 0 has 2 coordinates, not 3" in text
         data["input"].append(_cusp_tree(tmp_path)["input"][0])
         code, text = _verify_data(tmp_path, data)
         assert code == 4
         assert "input jet 1 has 2 variables, not 3" in text
+
+    def test_leaf_jet_in_another_frame(self, tmp_path):
+        # a jet in another frame is an input error, not a leaf that fails
+        data = _cusp_tree(tmp_path)
+        node = next(nd for nd in data["nodes"] if nd["kind"] == "Leaf")
+        node["leaf_checks"]["ledger"][0]["jet"] = {"nvars": 3, "trunc": 24, "terms": []}
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (
+            4, f"error: tree JSON: a ledger jet of node {node['id']} has 3 variables, not 2\n"
+        )
+
+    def test_huge_nvars_is_rejected_before_packing(self, tmp_path):
+        # packing a jet in 100000 variables would take about 7.5 GB, so the
+        # run is capped at 1.5 GB of address space: a jet packed before its
+        # frame is checked ends in a MemoryError there, not in exit 4
+        data = _cusp_tree(tmp_path)
+        data["input"][0]["nvars"] = 100000
+        (tmp_path / "edited.json").write_text(json.dumps(data))
+        src = os.path.dirname(os.path.dirname(resolvkit.__file__))
+        cap = 1_500_000_000
+        proc = subprocess.run(
+            [sys.executable, "-m", "resolvkit.cli", "verify", str(tmp_path / "edited.json")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (proc.returncode, proc.stdout) == (
+            4, "error: tree JSON: input jet 0 has 100000 variables, not 2\n"
+        )
 
     def test_singular_prep_matrix(self, tmp_path):
         data, node = _umbrella_tree(tmp_path)

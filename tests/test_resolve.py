@@ -42,7 +42,7 @@ from resolvkit.resolve import (
     _omega_of,
     _write_json,
 )
-from resolvkit.series import Jet, PolyMap, compose_maps, linear_change, substitute
+from resolvkit.series import Jet, PolyMap, ShapeError, compose_maps, linear_change, substitute
 
 
 T = 24
@@ -354,6 +354,12 @@ class TestDeterminismAndJson:
         data = tree.to_json_dict()
         assert tree.to_json() == json.dumps(data, sort_keys=True, indent=1)
         assert json.loads(json.dumps(data)) == data
+
+    def test_variable_names_must_match_the_germ(self):
+        # the tree reader takes the frame from the names, so a drive never
+        # writes a tree whose names and jets disagree
+        with pytest.raises(ShapeError, match="1 variable names for a germ in 2 variables"):
+            resolve_hypersurface(CUSP, var_names=["x"])
 
     def test_dot_emission(self):
         dot = resolve_hypersurface(CUSP).to_dot()

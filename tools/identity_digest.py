@@ -30,7 +30,11 @@ each run whose output moved.
    terms of ``majorant_series`` on each of MAJORANTS.
 
 A refactor that must not change the output runs this on the parent commit
-and on the change and compares the four last lines.  The script imports
+and on the change and compares the four last lines.  ``tools/identity_runs.txt``
+holds the printout of the current tree, and ``tests/test_golden.py`` checks
+that this script still prints it; a change that moves output on purpose
+rewrites that file with this script's printout, so its diff names each run
+that moved.  The script imports
 resolvkit from this checkout's ``src/`` and only reads ``bench/corpus.py``
 (and the ``bench/oracle.py`` it imports).
 """
