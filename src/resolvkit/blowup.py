@@ -16,13 +16,13 @@ identity, but the exceptional coordinate and the transforms still make sense.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import (
     Jet,
     PolyMap,
     ShapeError,
     compose_maps,  # noqa: F401  (bench/spans.py wraps blowup.compose_maps by name)
+    row_reduce,
 )
 
 
@@ -191,24 +191,12 @@ def normal_crossings_check(jets, extra: Jet | None = None) -> CrossingsReport:
             return CrossingsReport(False, (), f"entry {pos} has order {o} at the origin")
         rows.append(list(f.gradient_at_zero()))
         tags.append(pos)
-    # exact rank computation with pivot tracking
-    n = len(rows[0]) if rows else 0
+    _, pivots = row_reduce(rows, len(rows[0]) if rows else 0)
     assignments = []
-    work = [row[:] for row in rows]
-    used_cols = set()
-    for r in range(len(work)):
-        pivot_col = next(
-            (c for c in range(n) if c not in used_cols and work[r][c] != 0), None
-        )
-        if pivot_col is None:
+    for pos, col in zip(tags, pivots):
+        if col is None:
             return CrossingsReport(
-                False, tuple(assignments), f"gradients are dependent at entry {tags[r]}"
+                False, tuple(assignments), f"gradients are dependent at entry {pos}"
             )
-        used_cols.add(pivot_col)
-        assignments.append((tags[r], pivot_col))
-        inv = Fraction(1) / work[r][pivot_col]
-        for rr in range(len(work)):
-            if rr != r and work[rr][pivot_col] != 0:
-                fct = work[rr][pivot_col] * inv
-                work[rr] = [a - fct * b for a, b in zip(work[rr], work[r])]
+        assignments.append((pos, col))
     return CrossingsReport(True, tuple(assignments), None)

@@ -3,8 +3,9 @@
 Grammar: variables are names like x, y, u2 or x1..xN; literals are integers
 (rationals are written with the division operator, e.g. 1/2 or x/3); the
 operators are + - * / ^ with parentheses.  Division is only allowed by a
-nonzero constant subexpression, and exponents must evaluate to nonnegative
-integers, so every accepted expression denotes an exact polynomial.
+nonzero constant subexpression, and exponents are constant expressions,
+evaluated like any other, whose value is a nonnegative integer, so every
+accepted expression denotes an exact polynomial.
 
 Unless an explicit variable list is supplied, variables are bound in order of
 first appearance.  All errors carry the offending position in the input.
@@ -162,36 +163,25 @@ def _eval(node, env, trunc):
             raise ParseError("division is only allowed by a nonzero constant", node[3])
         return _eval(node[1], env, trunc).scale(Fraction(1) / denom.constant_term)
     if tag == "pow":
-        exponent = _eval_const(node[2], node[3])
+        names = []
+        _collect_names(node[2], names)
+        if names:
+            raise ParseError("exponents must be constant expressions", node[3])
+        exponent = _eval(node[2], env, trunc).constant_term
         if exponent.denominator != 1 or exponent < 0:
             raise ParseError("non-integer exponent", node[3])
         return _eval(node[1], env, trunc) ** int(exponent)
     raise AssertionError(f"unhandled node {tag}")
 
 
-def _eval_const(node, where) -> Fraction:
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "neg":
-        return -_eval_const(node[1], where)
-    if tag == "add":
-        return _eval_const(node[1], where) + _eval_const(node[2], where)
-    if tag == "sub":
-        return _eval_const(node[1], where) - _eval_const(node[2], where)
-    if tag == "mul":
-        return _eval_const(node[1], where) * _eval_const(node[2], where)
-    if tag == "div":
-        d = _eval_const(node[2], where)
-        if d == 0:
-            raise ParseError("division by zero in a constant", node[3])
-        return _eval_const(node[1], where) / d
-    if tag == "pow":
-        e = _eval_const(node[2], where)
-        if e.denominator != 1 or e < 0:
-            raise ParseError("non-integer exponent", node[3])
-        return _eval_const(node[1], where) ** int(e)
-    raise ParseError("exponents must be constant expressions", where)
+def _parse(text: str):
+    """The syntax tree of one expression; trailing input is an error."""
+    parser = _Parser(_tokenize(text))
+    ast = parser.expr()
+    end = parser.peek()
+    if end[0] != "end":
+        raise ParseError(f"unexpected trailing input {end[1]!r}", end[2])
+    return ast
 
 
 def parse_polynomial(text: str, var_names=None, trunc: int = 24):
@@ -201,35 +191,19 @@ def parse_polynomial(text: str, var_names=None, trunc: int = 24):
     an explicit ``var_names`` list, unknown names in the expression are
     rejected and the jet uses exactly the given frame.
     """
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    ast = parser.expr()
-    end = parser.peek()
-    if end[0] != "end":
-        raise ParseError(f"unexpected trailing input {end[1]!r}", end[2])
-    if var_names is None:
-        names = []
-        _collect_names(ast, names)
-        if not names:
-            names = ["x"]
-    else:
-        names = list(var_names)
-    env = {name: i for i, name in enumerate(names)}
-    jet = _eval(ast, env, trunc)
-    return jet, names
+    jets, names = parse_many([text], var_names, trunc)
+    return jets[0], names
 
 
 def parse_many(texts, var_names=None, trunc: int = 24):
     """Parse several expressions into one shared variable frame."""
+    asts = [_parse(text) for text in texts]
     if var_names is None:
         names = []
-        for text in texts:
-            tokens = _tokenize(text)
-            ast = _Parser(tokens).expr()
+        for ast in asts:
             _collect_names(ast, names)
-        if not names:
-            names = ["x"]
+        names = names or ["x"]
     else:
         names = list(var_names)
-    jets = [parse_polynomial(t, names, trunc)[0] for t in texts]
-    return jets, names
+    env = {name: i for i, name in enumerate(names)}
+    return [_eval(ast, env, trunc) for ast in asts], names

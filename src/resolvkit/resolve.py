@@ -146,16 +146,14 @@ class LocalModel:
     ledger: ExceptionalLedger
     d: int
     s: int
-    prepared: bool = False
 
     @property
     def nvars(self) -> int:
         return self.g.nvars
 
 
-def _model(g: Jet, ledger: ExceptionalLedger, prepared=False) -> LocalModel:
-    s = len(ledger.through_origin())
-    return LocalModel(g, ledger, g.order() or 0, s, prepared)
+def _model(g: Jet, ledger: ExceptionalLedger) -> LocalModel:
+    return LocalModel(g, ledger, g.order() or 0, len(ledger.through_origin()))
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def _apply_prep(prep: Preparation, g: Jet, ledger: ExceptionalLedger, trunc: int
 
 def _apply_prep_model(model: LocalModel, prep: Preparation) -> LocalModel:
     g, ledger, _ = _apply_prep(prep, model.g, model.ledger)
-    return _model(g, ledger, prepared=True)
+    return _model(g, ledger)
 
 
 def _shear_to_contact(model: LocalModel, matrix, d: int):
@@ -283,7 +281,7 @@ def prepare_local_model(g: Jet, ledger: ExceptionalLedger):
     u = model.g.nth_partial(n - 1, d - 1).divide_by_coordinate(n - 1)
     if u.constant_term == 0:
         raise AlgorithmError("contact normalization failed to produce a unit")
-    return replace(model, prepared=True), prep
+    return model, prep
 
 
 def coefficient_data(model: LocalModel, d: int | None = None):
@@ -293,8 +291,6 @@ def coefficient_data(model: LocalModel, d: int | None = None):
     of g with mark d - q for q = 0..d-2 (None when zero up to truncation), and
     bs[eid] the restriction of each through-origin exceptional with mark 1.
     """
-    if not model.prepared:
-        raise ValueError("coefficient data needs a prepared model")
     d = model.d if d is None else d
     n = model.nvars
     cs = {}
@@ -775,6 +771,12 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
                 ledger.append(LedgerEntry(e["eid"], jet, e["origin"]))
             strict = _jet_from_json(leaf["strict_transform"], f"the strict transform of {where}", n)
             leaf = dict(leaf, strict_transform=strict, ledger=ledger)
+        composed_map = nd.get("composed_map")
+        if composed_map is not None:
+            composed_map = [
+                _jet_from_json(c, f"component {k} of the composed map of {where}", n)
+                for k, c in enumerate(_list(composed_map, f"the composed map of {where}"))
+            ]
         base_point = _opt(nd["base_point"], _rationals, f"the base point of {where}")
         if base_point is not None and len(base_point) != n:
             raise ValueError(
@@ -797,7 +799,7 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
             nid=nid,
             parent_id=parent_id,
             blowup_index=nd["blowup_index"],
-            composed_map=nd.get("composed_map"),
+            composed_map=composed_map,
         )
         if parent_id is not None:
             by_id[parent_id].children.append(node)
@@ -855,13 +857,13 @@ def _transform_ledger(ledger: ExceptionalLedger, chart: ChartMap, trunc: int):
     return ExceptionalLedger(entries, ledger.watermark)
 
 
-def _chart_model(model: LocalModel, chart: ChartMap, divide: int, prepared: bool):
+def _chart_model(model: LocalModel, chart: ChartMap, divide: int):
     """The model at the origin of one chart: the pullback of g with ``divide``
     powers of the exceptional coordinate taken out, and the ledger through it."""
     g = chart.pullback(model.g)
     for _ in range(divide):
         g = g.divide_by_coordinate(chart.chart_index)
-    return _model(g, _transform_ledger(model.ledger, chart, g.trunc), prepared)
+    return _model(g, _transform_ledger(model.ledger, chart, g.trunc))
 
 
 def _pair_at(model: LocalModel, phase: _PhaseState | None):
@@ -953,9 +955,7 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
         front = next(e.jet for e in model.ledger if e.eid == front_entry)
         _check_trunc(front, 3)
         _, prep = prepare_local_model(front, ExceptionalLedger())
-        prepped = replace(model, prepared=True)
-        if prep is not None:
-            prepped = _apply_prep_model(model, prep)
+        prepped = model if prep is None else _apply_prep_model(model, prep)
     assumptions = []
     cs, bs = coefficient_data(prepped, d_front)
     bs.pop(front_entry, None)
@@ -1116,7 +1116,7 @@ def _lift_transform(sd: Node, umodel: LocalModel):
     chart = ChartMap(Center(tuple(sd.center), work.nvars), sd.chart_index)
     if work.g.order_along(chart.center.indices) not in (0, None):
         raise AlgorithmError("a lifted center met the hypersurface equimultiply")
-    return _chart_model(work, chart, 0, prepared=True), lifted_prep, chart
+    return _chart_model(work, chart, 0), lifted_prep, chart
 
 
 def _lift_walk(sub_nodes, umodel, phase, ctx, depth):
@@ -1160,7 +1160,7 @@ def _finish_phase_no_data(model, phase, ctx, depth):
     if not needs_contact:
         return _continue(model, ctx, depth)
     chart = ChartMap(Center((n - 1,), n), n - 1)
-    child_model = _chart_model(model, chart, phase.d, prepared=False)
+    child_model = _chart_model(model, chart, phase.d)
     _check_path_budget(ctx, depth + 1)
     node = _blowup_node(child_model, phase, chart)
     node.children = _continue(child_model, ctx, depth + 1)
@@ -1189,7 +1189,7 @@ def _monomial_child(model, center, i, omegas, phase, ctx, depth):
     if phase.front_entry is None:
         if model.g.order_along(center.indices) != phase.d:
             raise AlgorithmError("the chosen center is not equimultiple for the hypersurface")
-    child = _chart_model(model, chart, phase.d, prepared=True)
+    child = _chart_model(model, chart, phase.d)
     positions = [j for j in center.indices if j != m]
     predicted = {} if i == m else {k: om.updated(positions, i) for k, om in omegas.items()}
     _check_path_budget(ctx, depth + 1)
@@ -1277,7 +1277,7 @@ def _absorb(model: LocalModel, crossings):
         )
     work, prep = _shear_to_contact(model, matrix, 1)
     chart = ChartMap(Center((n - 1,), n), n - 1)
-    child_model = _chart_model(work, chart, 1, prepared=False)
+    child_model = _chart_model(work, chart, 1)
     if child_model.g.constant_term == 0:
         raise AlgorithmError("absorbing the strict transform failed")
     blow = _blowup_node(child_model, None, chart, prep)
@@ -1530,7 +1530,7 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
                     reasons.append(f"ledger entry {a.eid} differs from the replay")
                     break
     stored_map = leaf.composed_map
-    if stored_map is not None and stored_map != [_jet_json(c) for c in composed.components]:
+    if stored_map is not None and stored_map != list(composed.components):
         reasons.append("stored composed map differs from the replay")
     # leaf conditions (mode dependent: resolution wants a smooth strict
     # transform, monomialization wants the whole pullback monomial)

@@ -657,45 +657,52 @@ def default_names(n: int) -> list[str]:
 # -- exact linear algebra on Fractions --------------------------------------
 
 
+def row_reduce(rows, width: int):
+    """Gauss-Jordan elimination over Q on a copy of ``rows``: each row in turn
+    pivots on its first nonzero entry, among the first ``width`` columns, in a
+    column no earlier row took, and clears that column from every other row.
+    Returns ``(reduced, pivots)``, with ``pivots[r]`` the pivot column of row
+    r, or None when the row depends on those before it; pivots stay unscaled."""
+    work = [[_frac(x) for x in row] for row in rows]
+    pivots = []
+    for r, row in enumerate(work):
+        col = next((c for c in range(width) if row[c] != 0 and c not in pivots), None)
+        pivots.append(col)
+        if col is None:
+            continue
+        for rr, other in enumerate(work):
+            if rr != r and other[col] != 0:
+                f = other[col] / row[col]
+                work[rr] = [a - f * b if b else a for a, b in zip(other, row)]
+    return work, pivots
+
+
 def mat_det(rows) -> Fraction:
-    m = [[_frac(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """The product of the pivots, signed by the parity of their column order."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ShapeError("determinant needs a square matrix")
+    reduced, pivots = row_reduce(rows, n)
+    if None in pivots:
+        return Fraction(0)
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+    for r, col in enumerate(pivots):
+        det *= reduced[r][col]
+    inversions = sum(c > col for r, col in enumerate(pivots) for c in pivots[:r])
+    return -det if inversions % 2 else det
 
 
 def mat_inv(rows):
-    m = [[_frac(x) for x in row] for row in rows]
-    n = len(m)
-    aug = [m[r] + [Fraction(1 if c == r else 0) for c in range(n)] for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise PivotError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    """Row r of ``[A | I]`` reduced, over its pivot, is row ``pivots[r]`` of A^-1."""
+    n = len(rows)
+    aug = [list(row) + [int(c == r) for c in range(n)] for r, row in enumerate(rows)]
+    reduced, pivots = row_reduce(aug, n)
+    if None in pivots:
+        raise PivotError("matrix is singular")
+    inv = [None] * n
+    for row, col in zip(reduced, pivots):
+        inv[col] = [a / row[col] for a in row[n:]]
+    return inv
 
 
 # -- maps --------------------------------------------------------------------
@@ -768,10 +775,7 @@ class PolyMap:
         ]
 
     def jacobian_at_zero(self):
-        return [
-            [c.partial(j).constant_term for j in range(self.nvars)]
-            for c in self.components
-        ]
+        return [list(c.gradient_at_zero()) for c in self.components]
 
     def jacobian_det(self) -> Jet:
         """Determinant of the Jacobian matrix, as a jet (certified to T - 1)."""

@@ -354,7 +354,7 @@ def test_09_coefficient_transform_commutation():
             alpha[n - 1] = q
             coeffs[tuple(alpha)] = Fraction(rng.randint(1, 4))
         g = Jet(n, 14, coeffs)
-        model = _model(g, ExceptionalLedger(), prepared=True)
+        model = _model(g, ExceptionalLedger())
         cs, _ = coefficient_data(model, d)
         sub_center = Center((0,), n - 1)
         if any(
@@ -367,7 +367,7 @@ def test_09_coefficient_transform_commutation():
         gp = chart.pullback(g)
         for _ in range(d):
             gp = gp.divide_by_coordinate(0)
-        model2 = _model(gp, ExceptionalLedger(), prepared=True)
+        model2 = _model(gp, ExceptionalLedger())
         cs2, _ = coefficient_data(model2, d)
         contact_chart = ChartMap(sub_center, 0)
         for q, mf in cs.items():

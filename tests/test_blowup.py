@@ -206,6 +206,48 @@ class TestNormalCrossings:
     def test_order_two_fails(self):
         assert not normal_crossings_check([CUSP]).ok
 
+    @pytest.mark.parametrize(
+        "rows, extra, assignments, reason",
+        [
+            # x + y pivots on x; x, reduced by it, is -y and pivots on y
+            ([(1, 1), (1, 0)], None, ((0, 0), (1, 1)), None),
+            # 2x + y takes x; the extra x, reduced to -y/2, takes y
+            ([(2, 1)], (1, 0), ((0, 0), (1, 1)), None),
+            # y, then x + y reduced to x, then z
+            ([(0, 1, 0), (1, 1, 0), (0, 0, 1)], None, ((0, 1), (1, 0), (2, 2)), None),
+            # x, y, then x + y reduces to zero: dependent at entry 2
+            (
+                [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+                None,
+                ((0, 0), (1, 1)),
+                "gradients are dependent at entry 2",
+            ),
+            # entry 0 is a unit and skipped; y + z takes y, z takes z, and y
+            # reduced by both is zero
+            (
+                [None, (0, 1, 1), (0, 0, 1), (0, 1, 0)],
+                None,
+                ((1, 1), (2, 2)),
+                "gradients are dependent at entry 3",
+            ),
+        ],
+    )
+    def test_pivot_assignments(self, rows, extra, assignments, reason):
+        """Each entry through the origin in turn takes the first coordinate
+        that no earlier entry took and on which its reduced gradient is
+        nonzero."""
+
+        def linear(row, n):
+            if row is None:  # 1 + x: not through the origin
+                return Jet(n, T, {(1,) + (0,) * (n - 1): 1, (0,) * n: 1})
+            return Jet(n, T, {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(row)})
+
+        n = len(next(r for r in rows if r is not None))
+        rep = normal_crossings_check(
+            [linear(r, n) for r in rows], extra=None if extra is None else linear(extra, n)
+        )
+        assert (rep.ok, rep.assignments, rep.reason) == (reason is None, assignments, reason)
+
     def test_post_blowup_shape(self):
         # coordinate center crossing coordinate hyperplanes: strict transforms
         # plus the new exceptional pass the check in every chart

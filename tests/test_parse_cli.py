@@ -62,6 +62,26 @@ class TestGrammar:
             parse_polynomial("x + @")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # an exponent is evaluated like any constant: division by zero
+            # there is the division error of a coefficient
+            (["resolve", "x^(1/0)"], "division is only allowed by a nonzero constant (at position 4)"),
+            # a variable in an exponent is named at the '^', even when it cancels
+            (["resolve", "y^(x-x)"], "exponents must be constant expressions (at position 1)"),
+            # each text is parsed once, in order: the first text's error is
+            # reported before the second is read
+            (["rectilinearize", "x )", "y $"], "unexpected trailing input ')' (at position 2)"),
+        ],
+    )
+    def test_exponent_and_batch_errors(self, argv, message):
+        assert run_cli(argv) == (4, f"error: {message}\n")
+
+    def test_constant_exponent_expressions(self):
+        jet, _ = parse_polynomial("x^(1+1) + y^(6/3 - 1)*x^(2*0) + x^(2^2/2)")
+        assert jet == Jet(2, 24, {(2, 0): 2, (0, 1): 1})
+
     def test_numbered_variables(self):
         jet, names = parse_polynomial("x1*x2 - x3^2")
         assert names == ["x1", "x2", "x3"]
@@ -512,6 +532,27 @@ class TestMalformedTree:
         code, text = _verify_data(tmp_path, data)
         assert (code, text) == (
             4, f"error: tree JSON: a ledger jet of node {node['id']} has 3 variables, not 2\n"
+        )
+
+    def test_composed_map_not_a_list(self, tmp_path):
+        data = _cusp_tree(tmp_path)
+        leaf = next(nd for nd in data["nodes"] if nd["kind"] == "Leaf")
+        leaf["composed_map"] = 5
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (
+            4, f"error: tree JSON: the composed map of node {leaf['id']} is not a list\n"
+        )
+
+    def test_composed_map_term_with_a_negative_exponent(self, tmp_path):
+        # read like every other jet of the tree: an input error naming the
+        # component, not a leaf whose stored map differs from the replay
+        data = _cusp_tree(tmp_path)
+        leaf = next(nd for nd in data["nodes"] if nd["kind"] == "Leaf")
+        leaf["composed_map"][1]["terms"].append([[-1, 0], "1"])
+        code, text = _verify_data(tmp_path, data)
+        assert code == 4
+        assert text.startswith(
+            f"error: tree JSON: component 1 of the composed map of node {leaf['id']}: "
         )
 
     def test_huge_nvars_is_rejected_before_packing(self, tmp_path):

@@ -518,7 +518,7 @@ class TestCommutation:
                 alpha[n - 1] = q
                 coeffs[tuple(alpha)] = Fraction(rng.randint(1, 4))
             g = Jet(n, 14, coeffs)
-            model = _model(g, EMPTY, prepared=True)
+            model = _model(g, EMPTY)
             cs, _ = coefficient_data(model, d)
             sub_center = Center((0,), n - 1)
             if any(
@@ -532,7 +532,7 @@ class TestCommutation:
             gp = chart.pullback(g)
             for _ in range(d):
                 gp = gp.divide_by_coordinate(0)
-            model2 = _model(gp, EMPTY, prepared=True)
+            model2 = _model(gp, EMPTY)
             cs2, _ = coefficient_data(model2, d)
             contact_chart = ChartMap(sub_center, 0)
             for q, mf in cs.items():
@@ -590,7 +590,7 @@ class TestToMonomialCase:
         prepped, prep = prepare_local_model(CUSP, ExceptionalLedger())
         assert prep is None and all(nd.prep is None for nd in by_chart.values())
         g = {
-            i: _chart_model(prepped, ChartMap(Center(nd.center, 2), i), 2, prepared=True).g
+            i: _chart_model(prepped, ChartMap(Center(nd.center, 2), i), 2).g
             for i, nd in by_chart.items()
         }
         assert g[0] == jet2({(0, 2): 1, (1, 0): -1}, trunc=22)

@@ -456,6 +456,73 @@ class TestMiscViews:
         # d(xy)/dx * d(y)/dy - d(xy)/dy * d(y)/dx = y
         assert pm.jacobian_det() == jet2({(0, 1): 1}, trunc=23)
 
+    def test_jacobian_at_zero_reads_the_linear_terms(self):
+        pm = PolyMap([jet2({(1, 0): 2, (0, 1): Fraction(1, 3), (2, 0): 5}), x_() * y_() + y_()])
+        assert pm.jacobian_at_zero() == [[2, Fraction(1, 3)], [0, 1]]
+
+
+def _random_matrix(rng, n):
+    """A rational n x n matrix; about half are made singular by a zero row, a
+    repeated row, or a row that is a combination of two others."""
+    rows = [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)
+    ]
+    kind = rng.randrange(6)
+    if kind == 0:
+        rows[rng.randrange(n)] = [Fraction(0)] * n
+    elif kind == 1 and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[i] = list(rows[j])
+    elif kind == 2 and n > 2:
+        i, j, k = rng.sample(range(n), 3)
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows[i] = [a * p - q for p, q in zip(rows[j], rows[k])]
+    return rows
+
+
+def _fractions(m):
+    return [[Fraction(int(x.p), int(x.q)) for x in m.row(r)] for r in range(m.rows)]
+
+
+class TestExactLinearAlgebra:
+    """mat_det and mat_inv share one elimination (series.row_reduce); sympy's
+    exact rational matrices are the reference."""
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20)
+        singular = 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            rows = _random_matrix(rng, n)
+            ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+            det = ref.det()
+            assert mat_det(rows) == Fraction(int(det.p), int(det.q)), rows
+            if det == 0:
+                singular += 1
+                with pytest.raises(PivotError):
+                    mat_inv(rows)
+            else:
+                assert mat_inv(rows) == _fractions(ref.inv()), rows
+        assert 40 < singular < 160
+
+    def test_row_swaps_set_the_sign(self):
+        # each row pivots on the first free column: [[0,1],[1,0]] is an odd
+        # permutation, the cyclic 3x3 an even one
+        assert mat_det([[0, 1], [1, 0]]) == -1
+        assert mat_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+        assert mat_det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+        assert mat_inv([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == [
+            [0, 0, Fraction(1, 5)],
+            [0, Fraction(1, 3), 0],
+            [Fraction(1, 2), 0, 0],
+        ]
+
+    def test_empty_and_non_square(self):
+        assert mat_det([]) == 1
+        with pytest.raises(ShapeError):
+            mat_det([[1, 2]])
+
 
 # -- properties: operations keep the invariants of Jet(...) and the ring laws ---
 
