@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
 from math import factorial
@@ -167,6 +168,12 @@ class Preparation:
 
     matrix: tuple | None
     shear: Jet | None  # jet in the first n-1 variables; not both None
+
+    @cached_property
+    def det(self) -> Fraction:
+        """det M, or 1 when there is no matrix; computed once, for the tree
+        reader's singular check and the verifier's replay alike."""
+        return Fraction(1) if self.matrix is None else mat_det(self.matrix)
 
     def as_map(self, n: int, trunc: int) -> PolyMap:
         """Parent coordinates as functions of the prepared coordinates:
@@ -753,14 +760,14 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
             matrix = _opt(nd["prep"]["matrix"], _matrix, f"the matrix of {where}")
             if matrix is not None and (len(matrix) != n or any(len(r) != n for r in matrix)):
                 raise ValueError(f"tree JSON: the prep matrix of {where} is not {n}x{n}")
-            if matrix is not None and mat_det(matrix) == 0:
-                raise ValueError(f"tree JSON: the prep matrix of {where} is singular")
             shear = nd["prep"]["shear"]
             if shear is not None:
                 frame = f"the shear of {where} is not in {n - 1} variables"
                 shear = _jet_from_json(shear, f"the shear of {where}", n - 1, frame)
             if matrix is not None or shear is not None:
                 prep = Preparation(matrix, shear)
+                if prep.det == 0:
+                    raise ValueError(f"tree JSON: the prep matrix of {where} is singular")
         leaf = nd["leaf_checks"]
         if leaf is not None:
             _require(leaf, ("strict_transform", "ledger"), f"the leaf checks of {where}")
@@ -1431,8 +1438,7 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
         prep, step = node.prep, None
         if prep is not None:
             strict, ledger, step = _apply_prep(prep, strict, ledger, maps.trunc)
-            if prep.matrix is not None:
-                dets *= mat_det(prep.matrix)
+            dets *= prep.det
         if node.center is not None:
             chart = ChartMap(Center(tuple(node.center), n), node.chart_index)
             pulled = chart.pullback(strict)
@@ -1474,8 +1480,15 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
     )
 
 
-def _strip_coordinate_factors(jet: Jet) -> Jet:
-    """The jet with every power of a coordinate divided out."""
+def _strip_coordinate_factors(jet: Jet, what: str) -> Jet:
+    """The jet with every power of a coordinate divided out.  A jet that is
+    zero to its certified degree has no such form there, so the check that
+    reads it is undecided: TruncationError, naming ``what``."""
+    if jet.is_zero():
+        raise TruncationError(
+            f"{what} is the zero jet to its certified degree {jet.trunc}, "
+            "too few degrees to compare exceptional factors"
+        )
     for i in range(jet.nvars):
         _, jet = jet.factor_coordinate_power(i)
     return jet
@@ -1539,7 +1552,8 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
     smooth_check = not monomial_mode and not strict.is_zero()
     if smooth_check and strict_order > 1:
         reasons.append(f"strict transform has order {strict_order}")
-    through = [e.jet for e in ledger.through_origin()]
+    through_entries = ledger.through_origin()
+    through = [e.jet for e in through_entries]
     extra = strict if smooth_check and strict_order == 1 else None
     rep = normal_crossings_check(through, extra=extra)
     crossings_ok = rep.ok
@@ -1562,11 +1576,15 @@ def _audit_leaf(tree, leaf, strict, ledger, maps, dets, peels) -> LeafAudit:
     if not jac_ok:
         reasons.append("Jacobian determinant does not match its chart factorization")
     else:
-        cores = [_strip_coordinate_factors(jet) for jet in through]
-        for core, codim, _ in exceptionals:
+        cores = [
+            _strip_coordinate_factors(e.jet, f"ledger entry {e.eid}")
+            for e in through_entries
+        ]
+        for k, (core, codim, _) in enumerate(exceptionals):
             if codim <= 1:
                 continue
-            core = _strip_coordinate_factors(core)
+            what = f"the exceptional of blow-up {k + 1} on the root path"
+            core = _strip_coordinate_factors(core, what)
             if core.is_unit():
                 continue
             tt = min([core.trunc] + [c.trunc for c in cores]) if cores else core.trunc

@@ -872,14 +872,6 @@ def linear_change(f: Jet, rows) -> Jet:
     return substitute(f, PolyMap.from_matrix(rows, f.trunc))
 
 
-def _degree_part(jet: Jet, k: int, frame: _Frame) -> dict[int, int]:
-    """Numerators (over ``jet._den``) of the degree-``k`` terms of ``jet``,
-    keyed in ``frame``, a frame of the same variable count."""
-    src = _frame(jet.nvars, jet.trunc)
-    low = k * src.top
-    return src.rekey({key: v for key, v in jet._nums.items() if key >= low}, frame)
-
-
 def _raised(jet: Jet, trunc: int) -> Jet:
     """``jet``'s terms in the frame of the larger truncation ``trunc``: the
     jet whose terms above ``jet.trunc`` are zero."""
@@ -945,15 +937,36 @@ def implicit_solve(z: Jet, i: int) -> Jet:
     return phi
 
 
+def _sum_of_products(pairs, limit: int) -> tuple[dict[int, int], int]:
+    """Canonical numerators and denominator of the sum of a * b over the
+    pairs ``((a, a_den), (b, b_den))`` of ``pairs``: numerator dicts over
+    denominators, keyed in one frame, whose ``limit`` cuts the products."""
+    dens = [da * db for (_, da), (_, db) in pairs]
+    den = lcm(*dens)
+    out: dict[int, int] = {}
+    get = out.get
+    for ((a, _), (b, _)), d in zip(pairs, dens):
+        s = den // d
+        for key, v in _mul_numerators(a, b, limit).items():
+            out[key] = get(key, 0) + s * v
+    return _reduce(out, den)
+
+
 def invert_map(g: PolyMap) -> PolyMap:
     """Compositional inverse of a map fixing 0 with invertible Jacobian.
 
     With g = A x + tail, the inverse h solves h = A^{-1} (y - tail(h)).  The
-    tail has order two, so the degree-k part of h depends only on its parts
-    of lower degree: round k (k = 2 .. T) composes the tail and h cut to
-    truncation k and keeps the degree-k part.  The inverse is unique, so the
-    T - 1 rounds give it exactly to the working truncation, with no
-    convergence test; both g(h) and h(g) are the identity jet.
+    tail has order two, so the degree-k part H_k = -A^{-1} tail(h)_k of h
+    reads only the parts of h of degree below k.  The solve is online, degree
+    by degree: it keeps h, and each product h^alpha = h^(alpha - e_i) h_i
+    that the tail's terms need, as homogeneous parts, and round k (k = 2 ..
+    T) forms the degree-k part of each product, sum_d (h_i)_d
+    (h^(alpha - e_i))_(k - d), from parts of degree below k, then H_k.  So
+    each pair of homogeneous parts is multiplied once in all, where composing
+    the tail with h cut to truncation k, once for each degree k, would form
+    every lower-degree product again in each round.  The inverse is unique,
+    so the result is exact to the working truncation, with no convergence
+    test; both g(h) and h(g) are the identity jet.
     """
     n = len(g)
     if g.nvars != n:
@@ -961,31 +974,48 @@ def invert_map(g: PolyMap) -> PolyMap:
     if any(b != 0 for b in g.value_at_zero()):
         raise PivotError("invert_map requires g(0) = 0")
     T = g.trunc
-    A = g.jacobian_at_zero()
-    if mat_det(A) == 0:
-        raise PivotError("invert_map requires an invertible Jacobian at 0")
-    Ainv = mat_inv(A)
-    linear_part = PolyMap.from_matrix(A, T)
-    tail = PolyMap([gc - lc for gc, lc in zip(g.components, linear_part.components)])
+    try:
+        Ainv = mat_inv(g.jacobian_at_zero())
+    except PivotError:
+        raise PivotError("invert_map requires an invertible Jacobian at 0") from None
     frame = _frame(n, T)
-    # h as (numerators keyed in frame, denominator); round k adds degree k
-    h = [(c._nums, c._den) for c in PolyMap.from_matrix(Ainv, T).components]
+    weights, limit = frame.weights, frame.limit
+    # parts[key][d]: the degree-d part of h^alpha (alpha packed to key) as
+    # canonical (numerators, denominator); parts[weights[i]] is h_i
+    empty = ({}, 1)
+    parts = {w: [empty, (c._nums, c._den)]
+             for w, c in zip(weights, PolyMap.from_matrix(Ainv, T).components)}
+    # H_k's component r is sum_alpha c_alpha (h^alpha)_k, with c_alpha the
+    # coefficient of x^alpha, |alpha| >= 2, in -A^{-1} g; each c_alpha is
+    # held as a part of degree zero
+    quadratic = 2 * frame.top
+    rows = []
+    for row in Ainv:
+        mixed = sum((c.scale(-a) for a, c in zip(row, g.components)), Jet.zero(n, T))
+        den = mixed._den
+        rows.append([(key, ({0: v}, den)) for key, v in mixed._nums.items() if key >= quadratic])
+    # steps[alpha's key]: h^alpha = h^beta h_i, with i the last variable of
+    # alpha and beta = alpha - e_i, as (h_i's key, beta's key, |beta|); each
+    # beta that is not a component of h has a step of its own
+    steps = {}
+    for key in {key for row in rows for key, _ in row}:
+        while key not in parts:
+            alpha = frame.unpack(key)
+            i = max(j for j, e in enumerate(alpha) if e)
+            steps[key] = (weights[i], key - weights[i], sum(alpha) - 1)
+            parts[key] = [empty, empty]
+            key -= weights[i]
     for k in range(2, T + 1):
-        fk = _frame(n, k)
-        hk = PolyMap([Jet._packed(n, k, frame.rekey(d, fk), dd) for d, dd in h])
-        corr = compose_maps(PolyMap([c.with_truncation(k) for c in tail.components]), hk)
-        tops = [(_degree_part(cc, k, frame), cc._den) for cc in corr.components]
-        new_h = []
-        for row, (d, dd) in zip(Ainv, h):
-            # h_row gains -sum_j row[j] * tops[j]
-            used = [(c, top, c.denominator * tden) for c, (top, tden) in zip(row, tops) if c and top]
-            common = lcm(dd, *[td for _, _, td in used])
-            acc = {key: v * (common // dd) for key, v in d.items()}
-            get = acc.get
-            for c, top, td in used:
-                factor = -c.numerator * (common // td)
-                for key, v in top.items():
-                    acc[key] = get(key, 0) + factor * v
-            new_h.append(_reduce(acc, common))
-        h = new_h
-    return PolyMap([Jet._packed(n, T, d, dd) for d, dd in h])
+        for key, (hi, beta, low) in steps.items():
+            a, b = parts[hi], parts[beta]
+            pairs = [(a[d], b[k - d]) for d in range(1, k - low + 1) if a[d][0] and b[k - d][0]]
+            parts[key].append(_sum_of_products(pairs, limit))
+        for w, row in zip(weights, rows):
+            pairs = [(c, parts[key][k]) for key, c in row if parts[key][k][0]]
+            parts[w].append(_sum_of_products(pairs, limit))
+    one = ({0: 1}, 1)
+    comps = []
+    for w in weights:
+        nums, den = _sum_of_products([(one, part) for part in parts[w] if part[0]], limit)
+        comps.append(Jet._packed(n, T, nums, den))
+    return PolyMap(comps)

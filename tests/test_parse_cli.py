@@ -346,6 +346,37 @@ class TestCliRuns:
         assert "not monomial and comparable" in text
 
 
+def spent_exceptional(blowup, degree):
+    return (
+        f"the exceptional of blow-up {blowup} on the root path is the zero jet to its "
+        f"certified degree {degree}, too few degrees to compare exceptional factors"
+    )
+
+
+# runs whose leaf holds an exceptional that the drive's shears spent: node,
+# and the exceptional's certified degree
+SPENT_EXCEPTIONALS = [
+    ("resolve", "y^3-x^5", 8, 7, 3),
+    ("monomialize", "y^3-x^5", 8, 8, 3),
+    ("resolve", "y^4-x^9", 13, 9, 5),
+    ("monomialize", "y^4-x^9", 13, 10, 5),
+    ("resolve", "(1+y)*(y^3-x^7)", 10, 8, 4),
+    ("monomialize", "(1+y)*(y^3-x^7)", 10, 9, 4),
+]
+
+
+@pytest.mark.parametrize("mode, expr, trunc, node, degree", SPENT_EXCEPTIONALS)
+def test_spent_exceptional_exits_three(tmp_path, mode, expr, trunc, node, degree):
+    """The exceptional-core check of a leaf is undecided when an exceptional
+    is zero to its certified degree: exit 3 under --verify and under verify,
+    naming the node, the exceptional and the degree."""
+    want = (3, f"error: node {node}: {spent_exceptional(1, degree)}\n")
+    assert run_cli([mode, expr, "--truncation", str(trunc), "--verify"]) == want
+    out = str(tmp_path / "t")
+    assert run_cli([mode, expr, "--truncation", str(trunc), "--emit", "json", "--out", out])[0] == 0
+    assert run_cli(["verify", str(tmp_path / "t.json")]) == want
+
+
 def _cusp_tree(tmp_path):
     run_cli(["resolve", "y^2 - x^3", "--emit", "json", "--out", str(tmp_path / "cusp")])
     return json.loads((tmp_path / "cusp.json").read_text())
@@ -601,13 +632,20 @@ class TestMalformedTree:
     @pytest.mark.parametrize("trunc, message", [
         # the replay breaks an invariant of the algorithm: a bad file, exit 4
         (4, "node 5: exceptional entry 1 vanished under pullback"),
-        (2, "node 6: factor_coordinate_power is undefined on the zero jet"),
     ])
     def test_input_truncation_edited(self, tmp_path, trunc, message):
         data = _cusp_tree(tmp_path)
         data["input"][0]["trunc"] = trunc
         code, text = _verify_data(tmp_path, data)
         assert (code, text) == (4, f"error: {message}\n")
+
+    def test_input_truncation_edited_spends_an_exceptional(self, tmp_path):
+        # at truncation 2 the replay holds, but the exceptional pulled forward
+        # to leaf 6 is zero: its core check is undecided, exit 3
+        data = _cusp_tree(tmp_path)
+        data["input"][0]["trunc"] = 2
+        code, text = _verify_data(tmp_path, data)
+        assert (code, text) == (3, "error: node 6: " + spent_exceptional(1, 2) + "\n")
 
     def test_algorithm_error_in_the_audit(self, tmp_path, monkeypatch):
         # verify reads its tree from a file (exit 4); after a drive the tree

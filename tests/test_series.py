@@ -292,6 +292,33 @@ class TestImplicitSolveSchedule:
         assert dict(implicit_solve(z, 1).terms()) == reference_implicit_solve(z, 1)
 
 
+def reference_invert_map(g: PolyMap) -> PolyMap:
+    """The inverse h of g = A x + tail by recomposition, round by round: round
+    k (k = 2 .. T) composes the tail with h cut to truncation k, and the
+    degree-k part of h becomes -A^-1 times the degree-k part of that
+    composite.  Each round forms every product of lower degree again."""
+    n, T = g.nvars, g.trunc
+    Ainv = mat_inv(g.jacobian_at_zero())
+    tail = PolyMap([Jet(n, T, {a: c for a, c in comp.terms() if sum(a) >= 2}) for comp in g])
+    h = [dict(comp.terms()) for comp in PolyMap.from_matrix(Ainv, T)]
+    for k in range(2, T + 1):
+        composed = compose_maps(
+            PolyMap([t.with_truncation(k) for t in tail]), PolyMap([Jet(n, k, hc) for hc in h])
+        )
+        tops = [{a: c for a, c in comp.terms() if sum(a) == k} for comp in composed]
+        for hc, row in zip(h, Ainv):
+            for a in set().union(*tops):
+                c = -sum(r * top.get(a, 0) for r, top in zip(row, tops))
+                if c:
+                    hc[a] = c
+    return PolyMap([Jet(n, T, hc) for hc in h])
+
+
+def packed_form(m: PolyMap):
+    """The stored numerators and denominator of each component."""
+    return [(c._nums, c._den) for c in m]
+
+
 class TestInvertMap:
     def test_unipotent_linear(self):
         g = PolyMap([x_() + y_(), y_()])
@@ -331,6 +358,14 @@ class TestInvertMap:
     def test_singular_jacobian(self):
         with pytest.raises(PivotError):
             invert_map(PolyMap([x_() + y_(), x_() + y_()]))
+
+    def test_matches_recomposition_across_the_frame_width_change(self):
+        # truncation 66 keys jets in wider digits than 63, where the
+        # recomposition's earlier rounds stand
+        g = PolyMap([Jet(1, 66, {(1,): Fraction(-2, 3), (2,): Fraction(1, 2), (5,): 3})])
+        h = invert_map(g)
+        assert packed_form(h) == packed_form(reference_invert_map(g))
+        assert h[0].coeff((66,)) != 0
 
 
 class TestFactorAndDecompose:
@@ -701,6 +736,23 @@ class TestKernelProperties:
             assert_clean(c)
         assert compose_maps(g, h) == PolyMap.identity(n, T)
         assert compose_maps(h, g) == PolyMap.identity(n, T)
+
+    @SETTINGS
+    @given(st.integers(1, 3), st.data())
+    def test_invert_map_matches_recomposition(self, n, data):
+        T = data.draw(st.integers(3, 8 if n < 3 else 6))
+        row = st.lists(RATIONALS, min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        assume(mat_det(rows) != 0)
+        highs = data.draw(st.lists(jets((n, T), max_terms=3), min_size=n, max_size=n))
+        g = PolyMap([
+            lc + Jet(n, T, {a: c for a, c in hc.terms() if sum(a) >= 2})
+            for lc, hc in zip(PolyMap.from_matrix(rows, T).components, highs)
+        ])
+        want = reference_invert_map(g)
+        # an inverse with terms of degree T is no polynomial of lower degree
+        assume(any(sum(a) == T for c in want for a, _ in c.terms()))
+        assert packed_form(invert_map(g)) == packed_form(want)
 
     def test_substitute_cancellation_is_pruned(self):
         x, y = Jet.variable(0, 2, 6), Jet.variable(1, 2, 6)
