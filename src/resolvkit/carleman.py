@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .series import Jet, PolyMap, PivotError, invert_map, mat_inv, substitute
+from .series import Jet, PolyMap, PivotError, implicit_solve, invert_map, mat_inv, substitute
 
 CONSTANT = "constant"
 GEVREY = "gevrey"
@@ -322,23 +322,22 @@ def inverse_majorant(n: int, r, a, b, m: GrowthSequence, depth: int) -> Jet:
     the jet is the one the n-variable solve gives, term for term, and its
     coefficients are G_gamma = g_|gamma| |gamma|!/gamma!.
 
-    g is found by undetermined coefficients: round k (k = 2 .. depth)
-    substitutes g cut to truncation k into the series of the c_s cut to
-    truncation k and adds the degree-k part, so no round works beyond the
-    degree it certifies and no convergence test is needed.  Then g is
-    expanded once at y_1 + ... + y_n.  Every coefficient of G is
+    g is the root u of F(t, u) = (r/m_1) t - u + sum_s c_s u^s = 0, which
+    :func:`resolvkit.series.implicit_solve` finds on the pivot dF/du(0) = -1,
+    and is then expanded once at y_1 + ... + y_n.  Every coefficient of G is
     nonnegative; the degree-one coefficients are exactly r/m_1.
     """
     r, a, b = Fraction(r), Fraction(a), Fraction(b)
     if r <= 0 or a <= 0 or b <= 0:
         raise ValueError("constants must be positive")
     m1 = m.term(1)
-    phi = Jet(1, depth, {(s,): n * r * a * (m1 * b) ** s * comb(s + n - 1, n - 1)
-                         for s in range(2, depth + 1)})
-    g = Jet(1, depth, {(1,): r / m1})
-    for k in range(2, depth + 1):
-        step = substitute(phi.with_truncation(k), [g.with_truncation(k)])
-        g = g + Jet(1, depth, {(k,): step.coeff((k,))})
+    if depth == 0:
+        return Jet.zero(n, 0)  # F has no pivot at truncation 0
+    F = Jet(2, depth, {(1, 0): r / m1, (0, 1): -1} | {
+        (0, s): n * r * a * (m1 * b) ** s * comb(s + n - 1, n - 1)
+        for s in range(2, depth + 1)
+    })
+    g = implicit_solve(F, 1)
     total = Jet(n, depth, {tuple(int(j == i) for j in range(n)): 1 for i in range(n)})
     G = substitute(g, [total])
     for alpha, coeff in G.terms():

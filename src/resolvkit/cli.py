@@ -109,12 +109,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational from the command line; "1/0" is an input error, not a crash."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def _parse_base_points(raw, names):
     if not raw:
         return ()
     points = []
     for chunk in raw.split(";"):
-        coords = [Fraction(c.strip()) for c in chunk.split(",")]
+        coords = [_fraction(c) for c in chunk.split(",")]
         if len(coords) != len(names):
             raise ParseError(
                 f"base point {chunk!r} has {len(coords)} coordinates, expected {len(names)}",
@@ -213,6 +221,9 @@ def _cmd_compose(args, out):
         raise ParseError(
             f"gamma has {len(gamma)} entries, expected {len(names)}", 0
         )
+    if sum(gamma) > trunc:
+        # coefficients above the truncation are unknown, not zero
+        raise ParseError(f"|gamma| = {sum(gamma)} exceeds the truncation {trunc}", 0)
     # f(g) = f(g(0) + (g - g(0))): recentre f at g(0), shift g to vanish there
     constants = [c.constant_term for c in inner]
     shifted = [c - Jet.constant(b, c.nvars, c.trunc) for c, b in zip(inner, constants)]
@@ -231,9 +242,9 @@ def _parse_family(spec: str) -> GrowthSequence:
     if spec == "constant":
         return GrowthSequence.constant()
     if spec.startswith("gevrey:"):
-        return GrowthSequence.gevrey(Fraction(spec.split(":", 1)[1]))
+        return GrowthSequence.gevrey(_fraction(spec.split(":", 1)[1]))
     if spec.startswith("custom:"):
-        parts = [Fraction(p) for p in spec.split(":", 1)[1].split(",")]
+        parts = [_fraction(p) for p in spec.split(":", 1)[1].split(",")]
         return GrowthSequence.custom(parts)
     raise ParseError(f"unknown sequence family {spec!r}", 0)
 

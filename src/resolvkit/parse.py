@@ -58,6 +58,14 @@ def _tokenize(text: str):
     return tokens
 
 
+def _is_name(text: str) -> bool:
+    """Whether the tokenizer reads ``text`` as exactly one name token."""
+    try:
+        return _tokenize(text) == [("name", text, 0), ("end", "", len(text))]
+    except ParseError:
+        return False
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -205,5 +213,10 @@ def parse_many(texts, var_names=None, trunc: int = 24):
         names = names or ["x"]
     else:
         names = list(var_names)
+        for i, name in enumerate(names):
+            if not _is_name(name):
+                raise ParseError(f"variable {name!r} is not a name", 0)
+            if name in names[:i]:
+                raise ParseError(f"variable {name!r} is listed twice", 0)
     env = {name: i for i, name in enumerate(names)}
     return [_eval(ast, env, trunc) for ast in asts], names

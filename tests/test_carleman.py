@@ -277,6 +277,9 @@ class TestInverseMajorant:
     @example(2, 9, Fraction(1, 2), Fraction(5, 2), Fraction(3, 4), FACTORIAL)
     @example(3, 9, Fraction(2, 3), 1, Fraction(5, 2), GEVREY_HALF)
     @example(4, 7, Fraction(3, 4), Fraction(1, 2), Fraction(2, 3), CONST)
+    # past the widening of the packed keys above truncation 63
+    @example(1, 66, 1, 1, 1, CONST)
+    @example(2, 16, Fraction(1, 2), 1, Fraction(2, 3), GEVREY_TWO)
     def test_matches_dense_solve(self, n, depth, r, a, b, m):
         assert inverse_majorant(n, r, a, b, m, depth) == dense_inverse_majorant(
             n, r, a, b, m, depth

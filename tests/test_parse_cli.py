@@ -96,6 +96,21 @@ class TestGrammar:
         jet, _ = parse_polynomial("-x^2", var_names=["x"])
         assert jet == Jet(1, 24, {(2,): -1})
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["x", "y", ""], "variable '' is not a name"),
+            (["x", "y", "2"], "variable '2' is not a name"),
+            (["x", "y z"], "variable 'y z' is not a name"),
+            (["x", "y$"], "variable 'y$' is not a name"),
+            (["x", "x"], "variable 'x' is listed twice"),
+        ],
+    )
+    def test_bad_variable_list(self, names, message):
+        with pytest.raises(ParseError) as err:
+            parse_many(["x^2 - y^3"], names)
+        assert str(err.value) == f"{message} (at position 0)"
+
     def test_fuzz_no_crashes(self):
         rng = random.Random(1234)
         alphabet = "xy123+-*/^()?. #\t"
@@ -189,6 +204,10 @@ class TestCliRuns:
         assert code == 0
         assert "coefficient at gamma=[3]: 2" in text
         assert "oracle-match: true" in text
+        code, text = run_cli(["compose", "y^2", "x^13", "--gamma", "26", "--truncation", "30"])
+        assert code == 0
+        assert "coefficient at gamma=[26]: 1" in text
+        assert "oracle-match: true" in text
 
     def test_compose_two_components(self):
         code, text = run_cli(["compose", "y1*y2", "x, x^2", "--gamma", "3"])
@@ -210,6 +229,24 @@ class TestCliRuns:
         code, text = run_cli(["compose", "u^2", "x", "--gamma", "-1"])
         assert code == 4
         assert "negative entry" in text
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["resolve", "y^2-x^3", "--base-points", "1/0,0"], "zero denominator in '1/0'"),
+            (["dc", "gevrey:1/0"], "zero denominator in '1/0'"),
+            (["dc", "custom:1,2,1/0"], "zero denominator in '1/0'"),
+            # a bad --vars entry would resolve another germ or fail on an index
+            (["resolve", "x^2-y^3", "--vars", "x,y,"], "variable '' is not a name (at position 0)"),
+            (["resolve", "x^2-y^3", "--vars", "x,y,2"], "variable '2' is not a name (at position 0)"),
+            (["resolve", "x^2-y^3", "--vars", "x,x"], "variable 'x' is listed twice (at position 0)"),
+            # the oracle's coefficient above the truncation is unknown, not 0
+            (["compose", "y^2", "x^13", "--gamma", "26"],
+             "|gamma| = 26 exceeds the truncation 24 (at position 0)"),
+        ],
+    )
+    def test_bad_value_exit_four(self, argv, message):
+        assert run_cli(argv) == (4, f"error: {message}\n")
 
     def test_input_error_exit_four(self):
         code, text = run_cli(["resolve", "x^(1/2)"])
