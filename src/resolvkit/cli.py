@@ -8,10 +8,11 @@ an independent cross-check), dc (growth-sequence analysis), and verify
 Exit codes: 0 success with all checks passed, 2 a verifier or compose check
 failed (a report is still emitted), 3 truncation or blow-up budget
 exhausted (in a run, or in the verifier when an exceptional is spent to its
-certified degree), 4 input error (including a malformed tree JSON, a tree whose
-replay in ``verify`` breaks an invariant of the algorithm, and a bad command
-line), 5 an internal invariant of the algorithm failed in a run (the input
-is not yet supported).
+certified degree), or a resolution path nested too deeply for the recursive
+driver, 4 input error (including a malformed tree JSON, a tree whose replay in
+``verify`` breaks an invariant of the algorithm, a bad command line, and an
+expression or tree JSON nested too deeply to read), 5 an internal invariant of
+the algorithm failed in a run (the input is not yet supported).
 All output is deterministic: maps are serialized in sorted key order.
 """
 
@@ -124,9 +125,8 @@ def _parse_base_points(raw, names):
     for chunk in raw.split(";"):
         coords = [_fraction(c) for c in chunk.split(",")]
         if len(coords) != len(names):
-            raise ParseError(
-                f"base point {chunk!r} has {len(coords)} coordinates, expected {len(names)}",
-                0,
+            raise UsageError(
+                f"base point {chunk!r} has {len(coords)} coordinates, expected {len(names)}"
             )
         points.append(tuple(coords))
     return tuple(points)
@@ -136,7 +136,7 @@ def _emit_tree(tree, report, args, out):
     emit = [e.strip() for e in args.emit.split(",") if e.strip()]
     unknown = set(emit) - {"json", "dot", "text"}
     if unknown:
-        raise ParseError(f"unknown emit formats: {sorted(unknown)}", 0)
+        raise UsageError(f"unknown emit formats: {sorted(unknown)}")
     artifacts = {}
     if "json" in emit:
         artifacts["json"] = tree.to_json() + "\n"
@@ -211,19 +211,16 @@ def _cmd_compose(args, out):
     inner, names = parse_many(inner_texts, None, trunc)
     outer, outer_names = parse_polynomial(args.outer, None, trunc)
     if outer.nvars != len(inner):
-        raise ParseError(
+        raise UsageError(
             f"outer series uses {outer.nvars} variables but {len(inner)} inner "
-            "components were given",
-            0,
+            "components were given"
         )
     gamma = tuple(int(g) for g in args.gamma.split(","))
     if len(gamma) != len(names):
-        raise ParseError(
-            f"gamma has {len(gamma)} entries, expected {len(names)}", 0
-        )
+        raise UsageError(f"gamma has {len(gamma)} entries, expected {len(names)}")
     if sum(gamma) > trunc:
         # coefficients above the truncation are unknown, not zero
-        raise ParseError(f"|gamma| = {sum(gamma)} exceeds the truncation {trunc}", 0)
+        raise UsageError(f"|gamma| = {sum(gamma)} exceeds the truncation {trunc}")
     # f(g) = f(g(0) + (g - g(0))): recentre f at g(0), shift g to vanish there
     constants = [c.constant_term for c in inner]
     shifted = [c - Jet.constant(b, c.nvars, c.trunc) for c, b in zip(inner, constants)]
@@ -246,7 +243,7 @@ def _parse_family(spec: str) -> GrowthSequence:
     if spec.startswith("custom:"):
         parts = [_fraction(p) for p in spec.split(":", 1)[1].split(",")]
         return GrowthSequence.custom(parts)
-    raise ParseError(f"unknown sequence family {spec!r}", 0)
+    raise UsageError(f"unknown sequence family {spec!r}")
 
 
 def _cmd_dc(args, out):
@@ -282,7 +279,10 @@ def _cmd_dc(args, out):
 
 def _cmd_verify(args, out):
     with open(args.tree) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # the decoder recurses once a level
+            raise ValueError("tree JSON: the file nests arrays or objects too deeply") from None
     tree = tree_from_json_dict(data)
     try:
         report = verify_resolution(tree)

@@ -8,7 +8,9 @@ evaluated like any other, whose value is a nonnegative integer, so every
 accepted expression denotes an exact polynomial.
 
 Unless an explicit variable list is supplied, variables are bound in order of
-first appearance.  All errors carry the offending position in the input.
+first appearance.  An error in an expression is a ParseError carrying the
+offending position in the input; a bad variable list, and an expression nested
+too deeply for the recursive parser and evaluator, are plain ValueErrors.
 """
 
 from __future__ import annotations
@@ -204,19 +206,26 @@ def parse_polynomial(text: str, var_names=None, trunc: int = 24):
 
 
 def parse_many(texts, var_names=None, trunc: int = 24):
-    """Parse several expressions into one shared variable frame."""
-    asts = [_parse(text) for text in texts]
-    if var_names is None:
-        names = []
-        for ast in asts:
-            _collect_names(ast, names)
-        names = names or ["x"]
-    else:
-        names = list(var_names)
-        for i, name in enumerate(names):
-            if not _is_name(name):
-                raise ParseError(f"variable {name!r} is not a name", 0)
-            if name in names[:i]:
-                raise ParseError(f"variable {name!r} is listed twice", 0)
-    env = {name: i for i, name in enumerate(names)}
-    return [_eval(ast, env, trunc) for ast in asts], names
+    """Parse several expressions into one shared variable frame.  A bad
+    ``var_names`` entry, and an expression nested too deeply for the
+    recursive parser and evaluator, are ValueErrors without a position."""
+    try:
+        asts = [_parse(text) for text in texts]
+        if var_names is None:
+            names = []
+            for ast in asts:
+                _collect_names(ast, names)
+            names = names or ["x"]
+        else:
+            names = list(var_names)
+            for i, name in enumerate(names):
+                if not _is_name(name):
+                    raise ValueError(f"variable {name!r} is not a name")
+                if name in names[:i]:
+                    raise ValueError(f"variable {name!r} is listed twice")
+        env = {name: i for i, name in enumerate(names)}
+        return [_eval(ast, env, trunc) for ast in asts], names
+    except RecursionError:
+        raise ValueError(
+            "an expression is nested too deeply (parentheses, powers or operators)"
+        ) from None

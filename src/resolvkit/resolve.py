@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, count, product
 from json.encoder import encode_basestring_ascii
 from math import factorial
 
@@ -345,12 +345,12 @@ class Node:
         self.assumptions = list(self.assumptions)
 
 
-def _walk(tree, step, start):
-    """Fold ``step(state, node)`` down every root path of the tree, depth
-    first, yielding each node with the state after it; a prefix shared by
-    several leaves is folded once.  An explicit stack, not recursion, so that
-    chains deeper than the recursion limit replay too."""
-    stack = [(root, start) for root in reversed(tree.roots())]
+def _walk(roots, step, start):
+    """Fold ``step(state, node)`` down every path from ``roots``, depth first,
+    yielding each node with the state after it; a prefix shared by several
+    leaves is folded once.  An explicit stack, not recursion, so that chains
+    deeper than the recursion limit replay too."""
+    stack = [(root, start) for root in reversed(roots)]
     while stack:
         node, state = stack.pop()
         state = step(state, node)
@@ -361,25 +361,11 @@ def _walk(tree, step, start):
 class ResolutionTree:
     """Finished run: nodes with parent links, depth first unless read from JSON."""
 
-    def __init__(self, mode, config, input_jets, var_names, roots):
+    def __init__(self, mode, config, input_jets, var_names, nodes):
         self.mode = mode
         self.config = config
         self.input_jets = tuple(input_jets)
         self.var_names = tuple(var_names)
-        nodes = []
-
-        def walk(node, parent_id, blowups):
-            node.nid = len(nodes)
-            node.parent_id = parent_id
-            if node.kind == KIND_BLOWUP and not node.identity:
-                blowups += 1
-            node.blowup_index = blowups
-            nodes.append(node)
-            for child in node.children:
-                walk(child, node.nid, blowups)
-
-        for root in roots:
-            walk(root, None, 0)
         self.nodes = nodes
 
     def roots(self):
@@ -414,31 +400,21 @@ class ResolutionTree:
             return k
 
         best = 0
-        for node, k in _walk(self, first_smooth, None):
+        for node, k in _walk(self.roots(), first_smooth, None):
             if node.kind == KIND_LEAF:
                 best = max(best, node.blowup_index + 1 if k is None else k)
         return best
 
     # -- serialization ------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        """The tree JSON of format ``/1`` as plain JSON values."""
-        return self._json_dict(_jet_json)
-
     def to_json(self) -> str:
         """The tree JSON of format ``/1``: exactly the text of
-        ``json.dumps(self.to_json_dict(), sort_keys=True, indent=1)``, with
-        sorted keys, one space of indent a level and non-ASCII characters
+        ``json.dumps(json.loads(self.to_json()), sort_keys=True, indent=1)``,
+        with sorted keys, one space of indent a level and non-ASCII characters
         escaped, so that a tree's bytes are a stable digest.  Its jets stay
         :class:`Jet` objects in the dict that :func:`_write_json` walks, which
         writes each one's text straight from its packed numerators
         (:meth:`Jet.json_text`)."""
-        out = []
-        _write_json(self._json_dict(lambda j: j), "", out)
-        return "".join(out)
-
-    def _json_dict(self, jet) -> dict:
-        """The tree JSON dict with every jet ``j`` written as ``jet(j)``."""
         # input coordinates as explicit formulas in each leaf's coordinates
         n = self.input_jets[0].nvars
 
@@ -465,17 +441,17 @@ class ResolutionTree:
 
         start = PolyMap.identity(n, self.input_jets[0].trunc)
         composed_maps = {
-            node.nid: [jet(c) for c in composed.components]
-            for node, composed in _walk(self, compose, start)
+            node.nid: list(composed.components)
+            for node, composed in _walk(self.roots(), compose, start)
             if node.kind == KIND_LEAF
         }
         nodes = []
         for node in self.nodes:
-            nd = _node_json(node, jet)
+            nd = _node_json(node)
             if node.kind == KIND_LEAF:
                 nd["composed_map"] = composed_maps[node.nid]
             nodes.append(nd)
-        return {
+        tree = {
             "format": TREE_FORMAT,
             "mode": self.mode,
             "config": {
@@ -484,7 +460,7 @@ class ResolutionTree:
                 "parallel": False,  # fixed in format /1; the reader ignores it
             },
             "variables": list(self.var_names),
-            "input": [jet(j) for j in self.input_jets],
+            "input": list(self.input_jets),
             "nodes": nodes,
             "summary": {
                 "blowup_count": self.blowup_count,
@@ -494,6 +470,9 @@ class ResolutionTree:
                 "assumption_count": len(self.assumptions),
             },
         }
+        out = []
+        _write_json(tree, "", out)
+        return "".join(out)
 
     def to_dot(self) -> str:
         lines = ["digraph resolution {", "  node [shape=box, fontsize=10];"]
@@ -536,8 +515,8 @@ def _write_json(value, pad: str, out: list) -> None:
 
     Only the types tree JSON holds are written: dicts with ``str`` keys,
     lists, strings, ints, booleans and None, and a :class:`Jet` as the object
-    :func:`_jet_json` makes of it.  Anything else, such as a float or a
-    non-``str`` key, raises TypeError."""
+    of its ``nvars``, ``trunc`` and ``terms`` (:meth:`Jet.json_text`).
+    Anything else, such as a float or a non-``str`` key, raises TypeError."""
     text = _JSON_SCALARS.get(type(value))
     if text is not None:
         out.append(text(value))
@@ -571,10 +550,6 @@ def _write_json(value, pad: str, out: list) -> None:
         raise TypeError(f"tree JSON cannot hold a {type(value).__name__}")
 
 
-def _jet_json(j: Jet) -> dict:
-    return {"nvars": j.nvars, "trunc": j.trunc, "terms": j.json_terms()}
-
-
 def _jet_from_json(d, where: str, nvars: int, wrong_frame: str = "") -> Jet:
     """Read a jet in ``nvars`` variables with the checks of the validating
     ``Jet(...)``; a bad value raises ValueError naming ``where`` (another
@@ -603,22 +578,20 @@ def _jet_from_json(d, where: str, nvars: int, wrong_frame: str = "") -> Jet:
         raise ValueError(f"tree JSON: {where}: {exc}") from None
 
 
-def _node_json(n: Node, jet) -> dict:
+def _node_json(n: Node) -> dict:
     prep = None
     if n.prep is not None:
         prep = {
             "matrix": None
             if n.prep.matrix is None
             else [[str(x) for x in row] for row in n.prep.matrix],
-            "shear": None if n.prep.shear is None else jet(n.prep.shear),
+            "shear": n.prep.shear,
         }
     leaf = None
     if n.leaf is not None:
-        leaf = {k: v for k, v in n.leaf.items() if k not in ("strict_transform", "ledger")}
-        leaf["strict_transform"] = jet(n.leaf["strict_transform"])
+        leaf = dict(n.leaf)
         leaf["ledger"] = [
-            {"eid": e.eid, "origin": e.origin, "jet": jet(e.jet)}
-            for e in n.leaf["ledger"]
+            {"eid": e.eid, "origin": e.origin, "jet": e.jet} for e in n.leaf["ledger"]
         ]
     return {
         "id": n.nid,
@@ -640,7 +613,7 @@ def _node_json(n: Node, jet) -> dict:
 
 
 _TREE_KEYS = ("format", "mode", "config", "variables", "input", "nodes")
-_NODE_KEYS = tuple(_node_json(Node(KIND_LEAF), _jet_json))
+_NODE_KEYS = tuple(_node_json(Node(KIND_LEAF)))
 
 
 def _require(d, keys, where: str):
@@ -732,12 +705,9 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
     inputs = _list(data["input"], "input")
     if not inputs:
         raise ValueError("tree JSON: input is empty")
-    tree = ResolutionTree.__new__(ResolutionTree)
-    tree.mode = data["mode"]
-    tree.config = cfg
-    tree.var_names = tuple(_list(data["variables"], "variables"))
-    n = len(tree.var_names)
-    tree.input_jets = tuple(_jet_from_json(j, f"input jet {k}", n) for k, j in enumerate(inputs))
+    var_names = _list(data["variables"], "variables")
+    n = len(var_names)
+    input_jets = [_jet_from_json(j, f"input jet {k}", n) for k, j in enumerate(inputs)]
     nodes, by_id = [], {}
     for pos, nd in enumerate(_list(data["nodes"], "nodes")):
         _require(nd, _NODE_KEYS, f"node entry {pos}")
@@ -812,8 +782,7 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
             by_id[parent_id].children.append(node)
         by_id[nid] = node
         nodes.append(node)
-    tree.nodes = nodes
-    return tree
+    return ResolutionTree(data["mode"], cfg, input_jets, var_names, nodes)
 
 
 # -- the driver ---------------------------------------------------------------------
@@ -1230,15 +1199,11 @@ def _monomial_child(model, center, i, omegas, phase, ctx, depth):
                 f"{predicted[key].entries}, recomputed {om.entries}"
             )
     node.omega = _omega_json(omegas2, phase)
-    _, om_min = least_omega(omegas2)
+    # The front persists, so every datum keeps its scaled total at least the
+    # scale: a c-datum restricts a derivative of order q of a g of order d, so
+    # its terms have degree at least its mark d - q, and a b-datum restricts
+    # a through-origin exceptional, of mark 1, with no constant term.
     dropped = set(phase.old_ids) - through
-    if om_min.total < om_min.scale:
-        # the pair dropped here even though the front persisted: only possible
-        # when an old exceptional departed; re-derive from scratch
-        if not dropped:
-            raise AlgorithmError("exponent data dropped but the pair persisted")
-        node.children = _continue(child, ctx, depth + 1)
-        return node
     if dropped:
         phase = replace(
             phase,
@@ -1314,8 +1279,24 @@ def _drive(mode: str, g: Jet, input_jets, config: RunConfig | None, var_names):
     names = tuple(var_names) if var_names else tuple(default_names(g.nvars))
     if len(names) != g.nvars:  # the tree reader takes its frame from the names
         raise ShapeError(f"{len(names)} variable names for a germ in {g.nvars} variables")
-    roots = _root_nodes(g, _Ctx(config=config, mode=mode))
-    return ResolutionTree(mode, config, input_jets, names, roots)
+    try:
+        roots = _root_nodes(g, _Ctx(config=config, mode=mode))
+    except RecursionError:  # the driver recurses a few frames a blow-up
+        raise BudgetError(
+            "a path of the resolution tree is nested too deeply for the recursive driver"
+        ) from None
+    ids = count()
+
+    def number(state, node):
+        # state: the parent's id and the blow-up events on the path above
+        parent_id, blowups = state
+        if node.kind == KIND_BLOWUP and not node.identity:
+            blowups += 1
+        node.nid, node.parent_id, node.blowup_index = next(ids), parent_id, blowups
+        return node.nid, blowups
+
+    nodes = [node for node, _ in _walk(roots, number, (None, 0))]
+    return ResolutionTree(mode, config, input_jets, names, nodes)
 
 
 def resolve_hypersurface(g: Jet, config: RunConfig | None = None, var_names=None) -> ResolutionTree:
@@ -1384,13 +1365,16 @@ class VerifyReport:
 def _structure_problems(tree: ResolutionTree) -> list:
     """Charts missing from the tree: the children of a node that carry one
     center must be exactly one chart per center index, a node has children
-    exactly when it is not a leaf, and the tree needs a leaf."""
+    exactly when it is not a leaf, and the tree needs a leaf.  A leaf with a
+    preparation is a problem too: the replay would not apply it."""
     out = []
     for node in tree.nodes:
         if node.kind != KIND_LEAF and not node.children:
             out.append(f"node {node.nid} is not a leaf and has no children")
         if node.kind == KIND_LEAF and node.children:
             out.append(f"node {node.nid} is a leaf and has children")
+        if node.kind == KIND_LEAF and node.prep is not None:
+            out.append(f"node {node.nid} is a leaf and has a preparation")
         charts = {}
         for child in node.children:
             if child.center is not None:
@@ -1467,7 +1451,7 @@ def verify_resolution(tree: ResolutionTree) -> VerifyReport:
     start = (g_input, ExceptionalLedger(), PolyMap.identity(n, g_input.trunc), Fraction(1), ())
     audits = {
         node.nid: named(node, _audit_leaf, tree, node, *state)
-        for node, state in _walk(tree, lambda st, nd: named(nd, replay, st, nd), start)
+        for node, state in _walk(tree.roots(), lambda st, nd: named(nd, replay, st, nd), start)
         if node.kind == KIND_LEAF
     }
     structure = _structure_problems(tree)

@@ -287,24 +287,13 @@ class Jet:
         unpack, nums, den = _frame(self.nvars, self.trunc).unpack, self._nums, self._den
         return [(unpack(k), Fraction(nums[k], den)) for k in sorted(nums)]
 
-    def json_terms(self) -> list:
-        """The stored terms as ``[exponents, coefficient]`` pairs in graded-lex
-        order: the exponents a list of ints, the coefficient the string
-        ``str(Fraction)`` writes ("p/q", or "p" for an integer), built from
-        the numerator without a Fraction."""
-        unpack, nums, den = _frame(self.nvars, self.trunc).unpack, self._nums, self._den
-        out = []
-        for k in sorted(nums):
-            v = nums[k]
-            g = gcd(v, den)
-            out.append([list(unpack(k)), str(v // g) if g == den else f"{v // g}/{den // g}"])
-        return out
-
     def json_text(self, pad: str = "") -> str:
-        """The text of ``json.dumps({"nvars": nvars, "terms": json_terms(),
-        "trunc": trunc}, sort_keys=True, indent=1)`` nested at the indent
-        ``pad``, written term by term from the packed numerators: one format
-        call a term, with no lists built."""
+        """The text of ``json.dumps({"nvars": nvars, "terms": terms, "trunc":
+        trunc}, sort_keys=True, indent=1)`` nested at the indent ``pad``, where
+        ``terms`` lists the stored terms in graded-lex order as ``[exponents,
+        coefficient]`` pairs, the coefficient the string ``str(Fraction)``
+        writes ("p/q", or "p" for an integer).  It is written term by term from
+        the packed numerators: one format call a term, with no lists built."""
         p1 = pad + " "
         p2, p3, p4 = p1 + " ", p1 + "  ", p1 + "   "
         head = f'{{\n{p1}"nvars": {self.nvars},\n{p1}"terms": '

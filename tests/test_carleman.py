@@ -16,6 +16,7 @@ from resolvkit.carleman import (
     check_inverse_domination,
     composition_constants,
     derivation_closure_test,
+    extract_inverse_constants,
     inverse_majorant,
     is_log_convex,
     log_convexity_consequences,
@@ -354,6 +355,16 @@ class TestInverseBound1Var:
         # g_2 = c_2 (r/m_1)^2 = 9
         m = GrowthSequence.custom([1, 2, 8, 48])
         assert inverse_majorant(1, 1, 1, 3, m, 2).coeff((2,)) == 9
+
+    def test_b_search_doubles_then_bisects(self):
+        # b = 1 does not cover 100 <= a b^3, so b doubles past the bound and
+        # is bisected down to the least multiple of 1/1024 with b^3 >= 100
+        f = PolyMap([Jet(1, 8, {(1,): 1, (3,): 100})])
+        r, a, b = extract_inverse_constants(f, CONST)
+        assert (r, a, b) == (1, 1, Fraction(4753, 1024))
+        assert (b - Fraction(1, 1024)) ** 3 < 100 <= b**3
+        ok, failures = check_inverse_domination(f, CONST, 6)
+        assert ok, failures
 
     def test_domination_geometric_series(self):
         # f = x/(1-x): the inverse is y/(1+y), with |coefficients| = 1

@@ -120,6 +120,18 @@ def dropped_prep(text):
             yield node["id"], data
 
 
+def prep_on_leaf(text):
+    """A leaf gains a preparation that swaps the first and last variables;
+    nothing below a leaf would apply it."""
+    n = len(json.loads(text)["variables"])
+    swap = [[str(int({0: n - 1, n - 1: 0}.get(i, i) == j)) for j in range(n)] for i in range(n)]
+    for pos, node in enumerate(json.loads(text)["nodes"]):
+        if node["kind"] == "Leaf":
+            data = json.loads(text)
+            data["nodes"][pos]["prep"] = {"matrix": swap, "shear": None}
+            yield node["id"], data
+
+
 def perturbed_composed_map_term(text):
     for pos, node in enumerate(json.loads(text)["nodes"]):
         for k, component in enumerate(node.get("composed_map") or []):
@@ -177,6 +189,7 @@ MUTATIONS = [
     perturbed_leaf_strict_transform,
     perturbed_input_term,
     perturbed_composed_map_term,
+    prep_on_leaf,
 ]
 
 

@@ -1,6 +1,7 @@
 """Expression grammar and the batch front end."""
 
 from fractions import Fraction
+import hashlib
 import io
 import json
 import os
@@ -107,9 +108,11 @@ class TestGrammar:
         ],
     )
     def test_bad_variable_list(self, names, message):
-        with pytest.raises(ParseError) as err:
+        # a name in the list has no position in the expression
+        with pytest.raises(ValueError) as err:
             parse_many(["x^2 - y^3"], names)
-        assert str(err.value) == f"{message} (at position 0)"
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
     def test_fuzz_no_crashes(self):
         rng = random.Random(1234)
@@ -237,12 +240,20 @@ class TestCliRuns:
             (["dc", "gevrey:1/0"], "zero denominator in '1/0'"),
             (["dc", "custom:1,2,1/0"], "zero denominator in '1/0'"),
             # a bad --vars entry would resolve another germ or fail on an index
-            (["resolve", "x^2-y^3", "--vars", "x,y,"], "variable '' is not a name (at position 0)"),
-            (["resolve", "x^2-y^3", "--vars", "x,y,2"], "variable '2' is not a name (at position 0)"),
-            (["resolve", "x^2-y^3", "--vars", "x,x"], "variable 'x' is listed twice (at position 0)"),
+            (["resolve", "x^2-y^3", "--vars", "x,y,"], "variable '' is not a name"),
+            (["resolve", "x^2-y^3", "--vars", "x,y,2"], "variable '2' is not a name"),
+            (["resolve", "x^2-y^3", "--vars", "x,x"], "variable 'x' is listed twice"),
             # the oracle's coefficient above the truncation is unknown, not 0
             (["compose", "y^2", "x^13", "--gamma", "26"],
-             "|gamma| = 26 exceeds the truncation 24 (at position 0)"),
+             "|gamma| = 26 exceeds the truncation 24"),
+            # errors with no position in an expression name none
+            (["resolve", "y^2-x^3", "--emit", "json,xml"], "unknown emit formats: ['xml']"),
+            (["resolve", "y^2-x^3", "--base-points", "0"],
+             "base point '0' has 1 coordinates, expected 2"),
+            (["compose", "y^2", "x", "--gamma", "1,2"], "gamma has 2 entries, expected 1"),
+            (["compose", "y^2", "x,x^2", "--gamma", "2"],
+             "outer series uses 1 variables but 2 inner components were given"),
+            (["dc", "poly:1"], "unknown sequence family 'poly:1'"),
         ],
     )
     def test_bad_value_exit_four(self, argv, message):
@@ -713,6 +724,23 @@ class TestMalformedTree:
         assert (code, text) == (5, "error: node 3: replay fault\n")
 
 
+    @pytest.mark.parametrize(
+        "center, chart, message",
+        [
+            ([], 0, "a center needs at least one coordinate index"),
+            ([5], 5, "center indices (5,) out of range for 2 variables"),
+            ([-1], -1, "center indices (-1,) out of range for 2 variables"),
+            ([0, 1], 5, "chart index 5 is not a center index (0, 1)"),
+        ],
+    )
+    def test_bad_center_or_chart_index(self, tmp_path, center, chart, message):
+        data = _cusp_tree(tmp_path)
+        node = data["nodes"][1]
+        assert (node["center_indices"], node["chart_index"]) == ([0, 1], 0)
+        node["center_indices"], node["chart_index"] = center, chart
+        assert _verify_data(tmp_path, data) == (4, f"error: node 1: {message}\n")
+
+
 class TestIncompleteTree:
     """Trees the reader accepts but whose charts do not cover the blow-ups."""
 
@@ -749,6 +777,18 @@ class TestIncompleteTree:
         code, text = _verify_data(tmp_path, data)
         assert code == 2
         assert "node 4 is a leaf and has children" in text
+
+
+    def test_leaf_with_a_preparation(self, tmp_path):
+        # the replay applies no preparation at a leaf, so none may be stored
+        data = _cusp_tree(tmp_path)
+        leaf = data["nodes"][4]
+        assert leaf["kind"] == "Leaf" and leaf["prep"] is None
+        leaf["prep"] = {"matrix": [["0", "1"], ["1", "0"]], "shear": None}
+        code, text = _verify_data(tmp_path, data)
+        assert code == 2
+        assert "tree: FAIL reasons=['node 4 is a leaf and has a preparation']" in text
+        assert "verified: False" in text
 
 
 class TestReplayWalk:
@@ -789,3 +829,54 @@ class TestReplayWalk:
         # leaves are reported in file order
         reported = [line.split(":")[0] for line in text.splitlines() if line.startswith("leaf ")]
         assert reported == [f"leaf {nid}" for nid in leaf_ids]
+
+
+class TestDeepNesting:
+    """Input nested deeper than the recursion of the parser, the JSON decoder
+    or the driver reaches ends in an exit code and one error line."""
+
+    EXPRESSION = "error: an expression is nested too deeply (parentheses, powers or operators)\n"
+    TREE_JSON = "error: tree JSON: the file nests arrays or objects too deeply\n"
+
+    def test_parentheses(self):
+        nested = "(" * 200 + "x" + ")" * 200 + "^2 - y^3"
+        assert run_cli(["resolve", nested]) == (4, self.EXPRESSION)
+        # 150 levels still parse, to the germ without parentheses
+        nested = "(" * 150 + "x" + ")" * 150 + "^2 - y^3"
+        assert run_cli(["resolve", nested]) == run_cli(["resolve", "x^2 - y^3"])
+
+    def test_powers(self):
+        assert run_cli(["resolve", "x" + "^1" * 2000 + " - y^2"]) == (4, self.EXPRESSION)
+
+    @pytest.mark.parametrize("opener", ["[", '{"a":'])
+    def test_tree_json(self, tmp_path, opener):
+        path = tmp_path / "deep.json"
+        path.write_text(opener * 1000)
+        assert run_cli(["verify", str(path)]) == (4, self.TREE_JSON)
+
+    def test_tree_json_500_deep_decodes(self, tmp_path):
+        # to a value that is not a tree
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 500 + "]" * 500)
+        assert run_cli(["verify", str(path)]) == (4, "error: tree JSON: the tree is not an object\n")
+
+    def test_drive(self):
+        # the one path of y^2 - x^801 needs about 400 blow-ups
+        argv = ["resolve", "y^2 - x^801", "--truncation", "805", "--max-blowups", "1000"]
+        want = "error: a path of the resolution tree is nested too deeply for the recursive driver\n"
+        assert run_cli(argv) == (3, want)
+
+    def test_drive_250_deep_resolves(self):
+        argv = ["resolve", "y^2 - x^501", "--truncation", "505", "--max-blowups", "400"]
+        assert run_cli(argv) == (0, (
+            "mode: resolve\n"
+            "variables: y, x\n"
+            "blow-ups: 252\n"
+            "leaves: 253\n"
+            "strict transform order <= 1 after: 250 blow-ups\n"
+            "leaves passed (driver checks): True\n"
+        ))
+        # and its tree JSON keeps its bytes
+        code, text = run_cli(argv + ["--emit", "json"])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (code, digest[:16]) == (0, "d61d04b7986d1473")

@@ -818,7 +818,8 @@ class TestKernelProperties:
     @SETTINGS
     @given(shapes().flatmap(jets), st.sampled_from(["", " ", "   "]))
     def test_json_text_is_the_json_dumps_of_the_terms(self, a, pad):
-        value = {"nvars": a.nvars, "terms": a.json_terms(), "trunc": a.trunc}
+        terms = [[list(alpha), str(c)] for alpha, c in a.terms()]
+        value = {"nvars": a.nvars, "terms": terms, "trunc": a.trunc}
         text = json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + pad)
         assert a.json_text(pad) == text
 
