@@ -8,11 +8,10 @@ an independent cross-check), dc (growth-sequence analysis), and verify
 Exit codes: 0 success with all checks passed, 2 a verifier or compose check
 failed (a report is still emitted), 3 truncation or blow-up budget
 exhausted (in a run, or in the verifier when an exceptional is spent to its
-certified degree), or a resolution path nested too deeply for the recursive
-driver, 4 input error (including a malformed tree JSON, a tree whose replay in
-``verify`` breaks an invariant of the algorithm, a bad command line, and an
-expression or tree JSON nested too deeply to read), 5 an internal invariant of
-the algorithm failed in a run (the input is not yet supported).
+certified degree), 4 input error (including a malformed tree JSON, a tree
+whose replay in ``verify`` breaks an invariant of the algorithm, a bad command
+line, and an expression or tree JSON nested too deeply to read), 5 an internal
+invariant of the algorithm failed in a run (the input is not yet supported).
 All output is deterministic: maps are serialized in sorted key order.
 """
 

@@ -11,11 +11,14 @@ Unless an explicit variable list is supplied, variables are bound in order of
 first appearance.  An error in an expression is a ParseError carrying the
 offending position in the input; a bad variable list, and an expression nested
 too deeply for the recursive parser and evaluator, are plain ValueErrors.
+Parentheses and ``^`` chains recurse a level each; a flat chain of ``+ -`` or
+``* /`` is one node, read and evaluated in a loop, so its length is not limited.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .series import Jet
 
@@ -27,6 +30,7 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+_ARITHMETIC = {"+": add, "-": sub, "*": mul}
 
 
 def _tokenize(text: str):
@@ -85,23 +89,25 @@ class _Parser:
         self.pos += 1
         return tok
 
+    # A chain of + - or of * / is one node ("chain", first, [(op, operand,
+    # position), ...]), so that a long flat sum or product nests no deeper
+    # than one operand.
+
     # expr := term (('+'|'-') term)*
     def expr(self):
-        node = self.term()
+        first, links = self.term(), []
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.take()[1]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            op = self.take()
+            links.append((op[1], self.term(), op[2]))
+        return ("chain", first, links) if links else first
 
     # term := factor (('*'|'/') factor)*
     def term(self):
-        node = self.factor()
+        first, links = self.factor(), []
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             op = self.take()
-            rhs = self.factor()
-            node = ("mul" if op[1] == "*" else "div", node, rhs, op[2])
-        return node
+            links.append((op[1], self.factor(), op[2]))
+        return ("chain", first, links) if links else first
 
     # factor := ('+'|'-')* power
     def factor(self):
@@ -142,7 +148,11 @@ def _collect_names(node, out):
     if tag == "var":
         if node[1] not in out:
             out.append(node[1])
-    elif tag in ("add", "sub", "mul", "div", "pow"):
+    elif tag == "chain":
+        _collect_names(node[1], out)
+        for _, rhs, _ in node[2]:
+            _collect_names(rhs, out)
+    elif tag == "pow":
         _collect_names(node[1], out)
         _collect_names(node[2], out)
     elif tag == "neg":
@@ -161,17 +171,18 @@ def _eval(node, env, trunc):
         return Jet.variable(env[name], len(env), trunc)
     if tag == "neg":
         return -_eval(node[1], env, trunc)
-    if tag == "add":
-        return _eval(node[1], env, trunc) + _eval(node[2], env, trunc)
-    if tag == "sub":
-        return _eval(node[1], env, trunc) - _eval(node[2], env, trunc)
-    if tag == "mul":
-        return _eval(node[1], env, trunc) * _eval(node[2], env, trunc)
-    if tag == "div":
-        denom = _eval(node[2], env, trunc)
-        if not denom.is_unit() or denom != Jet.constant(denom.constant_term, denom.nvars, trunc):
-            raise ParseError("division is only allowed by a nonzero constant", node[3])
-        return _eval(node[1], env, trunc).scale(Fraction(1) / denom.constant_term)
+    if tag == "chain":  # left to right, each operand after the value so far
+        value = _eval(node[1], env, trunc)
+        for op, rhs, position in node[2]:
+            operand = _eval(rhs, env, trunc)
+            if op != "/":
+                value = _ARITHMETIC[op](value, operand)
+                continue
+            c = operand.constant_term
+            if not operand.is_unit() or operand != Jet.constant(c, operand.nvars, trunc):
+                raise ParseError("division is only allowed by a nonzero constant", position)
+            value = value.scale(Fraction(1) / c)
+        return value
     if tag == "pow":
         names = []
         _collect_names(node[2], names)
@@ -207,8 +218,9 @@ def parse_polynomial(text: str, var_names=None, trunc: int = 24):
 
 def parse_many(texts, var_names=None, trunc: int = 24):
     """Parse several expressions into one shared variable frame.  A bad
-    ``var_names`` entry, and an expression nested too deeply for the
-    recursive parser and evaluator, are ValueErrors without a position."""
+    ``var_names`` entry, and parentheses or ``^`` chains nested too deeply
+    for the recursive parser and evaluator, are ValueErrors without a
+    position."""
     try:
         asts = [_parse(text) for text in texts]
         if var_names is None:

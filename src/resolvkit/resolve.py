@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, count, product
 from json.encoder import encode_basestring_ascii
 from math import factorial
@@ -323,7 +323,7 @@ TREE_FORMAT = "resolvkit-tree/1"
 @dataclass(eq=False, slots=True)
 class Node:
     kind: str
-    children: list = ()
+    children: list = ()  # while the driver builds it, the step that returns them
     base_point: tuple | None = None
     prep: Preparation | None = None
     center: tuple | None = None
@@ -349,7 +349,8 @@ def _walk(roots, step, start):
     """Fold ``step(state, node)`` down every path from ``roots``, depth first,
     yielding each node with the state after it; a prefix shared by several
     leaves is folded once.  An explicit stack, not recursion, so that chains
-    deeper than the recursion limit replay too."""
+    deeper than the recursion limit replay too.  A node's children are read
+    after ``step``, so on a driven tree ``step`` runs each stored step, once."""
     stack = [(root, start) for root in reversed(roots)]
     while stack:
         node, state = stack.pop()
@@ -788,12 +789,6 @@ def tree_from_json_dict(data: dict) -> "ResolutionTree":
 # -- the driver ---------------------------------------------------------------------
 
 
-@dataclass
-class _Ctx:
-    config: RunConfig
-    mode: str
-
-
 @dataclass(frozen=True)
 class _PhaseState:
     """What a phase fixes at its start: the order d (0 on the exceptional
@@ -865,11 +860,11 @@ def _blowup_node(model, phase, chart, prep=None, assumptions=(), budget=None):
     )
 
 
-def _check_path_budget(ctx: _Ctx, depth: int):
-    if depth > ctx.config.max_blowups:
-        raise BudgetError(
-            f"a path exceeded the configured blow-up budget ({ctx.config.max_blowups})"
-        )
+def _built(node: Node) -> list:
+    """``node``'s children, made by its stored step the first time."""
+    if callable(node.children):
+        node.children = node.children()
+    return node.children
 
 
 def _leaf_node(model: LocalModel, assumptions=(), **extra):
@@ -892,7 +887,7 @@ def _leaf_node(model: LocalModel, assumptions=(), **extra):
     )
 
 
-def _continue(model: LocalModel, ctx: _Ctx, depth: int):
+def _continue(model: LocalModel, mode: str):
     """Decide what happens at this chart origin; returns the child nodes.
 
     For d <= 1 one crossings report decides: when it passes, the origin is a
@@ -906,11 +901,11 @@ def _continue(model: LocalModel, ctx: _Ctx, depth: int):
     if model.d <= 1:
         crossings = _crossings(model, model.d)
         if crossings.ok:
-            if model.d == 1 and ctx.mode != RESOLVE:
+            if model.d == 1 and mode != RESOLVE:
                 return [_absorb(model, crossings)]
             return [_leaf_node(model)]
     front = max(e.eid for e in model.ledger.through_origin()) if model.d == 0 else None
-    return _phase(model, ctx, depth, front_entry=front)
+    return _phase(model, mode, front_entry=front)
 
 
 def _crossings(model: LocalModel, d: int):
@@ -920,7 +915,7 @@ def _crossings(model: LocalModel, d: int):
     return normal_crossings_check(through, extra=model.g if d == 1 else None)
 
 
-def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
+def _phase(model: LocalModel, mode: str, front_entry: int | None):
     """One full phase: preparation, data, reduction, monomial-case loop."""
     if front_entry is None:
         d_front = model.d
@@ -959,13 +954,13 @@ def _phase(model: LocalModel, ctx: _Ctx, depth: int, front_entry: int | None):
     )
     data = _active_data(cs, bs, phase, prepped.g.trunc)
     if not data:
-        nodes = _finish_phase_no_data(prepped, phase, ctx, depth)
+        nodes = _finish_phase_no_data(prepped, phase, mode)
     else:
         omegas, comparable = _omega_of(data, phase)
         if omegas is not None and comparable:
-            nodes = _monomial_loop(prepped, phase, omegas, ctx, depth)
+            nodes = _monomial_loop(prepped, phase, omegas, mode)
         else:
-            nodes = _reduce_then_loop(prepped, prep, phase, data, ctx, depth, assumptions)
+            nodes = _reduce_then_loop(prepped, prep, phase, data, mode, assumptions)
     # the phase's preparation and assumptions go on each node it emits first:
     # every chart of its first blow-up, its contact blow-up, or a first lifted
     # node, which keeps its lifted preparation when the phase has none
@@ -1052,16 +1047,15 @@ def _reduction_product(data, scale: int, assumptions):
     return prod_jet
 
 
-def _reduce_then_loop(prepped, prep, phase, data, ctx, depth, assumptions):
+def _reduce_then_loop(prepped, prep, phase, data, mode, assumptions):
     """Monomialize the data by a lower-dimensional run, lifted chart by chart;
     ``assumptions`` gains the reduction's.  The top lifted nodes will carry
     the phase's ``prep``, so none of them may carry a lifted one too."""
     prod_jet = _reduction_product(data, phase.scale, assumptions)
-    sub_ctx = _Ctx(config=ctx.config, mode=MONOMIALIZE)
-    sub_children = _run_germ(prod_jet, sub_ctx, depth)
+    sub_children = _run_germ(prod_jet, MONOMIALIZE)
     if prep is not None and any(sd.prep is not None for sd in sub_children):
         raise AlgorithmError("two coordinate preparations met at one node")
-    return _lift_walk(sub_children, prepped, phase, ctx, depth)
+    return _lift_walk(sub_children, prepped, phase, mode)
 
 
 def _lift_prep(prep: Preparation | None):
@@ -1095,36 +1089,32 @@ def _lift_transform(sd: Node, umodel: LocalModel):
     return _chart_model(work, chart, 0), lifted_prep, chart
 
 
-def _lift_walk(sub_nodes, umodel, phase, ctx, depth):
+def _lift_walk(sub_nodes, umodel, phase, mode):
     """Mirror a reduction subtree in the ambient frame, then resume the phase."""
     out = []
     for sd in sub_nodes:
         if sd.kind == KIND_LEAF:
             data = _active_data(*coefficient_data(umodel, phase.d), phase, umodel.g.trunc)
             if not data:
-                out.extend(_finish_phase_no_data(umodel, phase, ctx, depth))
+                out.extend(_finish_phase_no_data(umodel, phase, mode))
                 continue
             omegas, comparable = _omega_of(data, phase)
             if omegas is None or not comparable:
                 raise AlgorithmError(
                     "reduction finished but the data are not monomial and comparable"
                 )
-            out.extend(_monomial_loop(umodel, phase, omegas, ctx, depth))
+            out.extend(_monomial_loop(umodel, phase, omegas, mode))
             continue
         if sd.kind != KIND_BLOWUP:
             raise AlgorithmError("unexpected node kind inside a reduction subtree")
         child_model, lifted_prep, chart = _lift_transform(sd, umodel)
-        if chart is not None:
-            _check_path_budget(ctx, depth + 1)
         node = _blowup_node(child_model, phase, chart, lifted_prep, sd.assumptions)
-        node.children = _lift_walk(
-            sd.children, child_model, phase, ctx, depth + (0 if sd.center is None else 1)
-        )
+        node.children = partial(_lift_walk, _built(sd), child_model, phase, mode)
         out.append(node)
     return out
 
 
-def _finish_phase_no_data(model, phase, ctx, depth):
+def _finish_phase_no_data(model, phase, mode):
     """No active data at this origin: either finished, or one contact blow-up."""
     n = model.nvars
     tangent = any(
@@ -1134,16 +1124,15 @@ def _finish_phase_no_data(model, phase, ctx, depth):
     # an endgame front (d = 0) must itself be absorbed to break the crossing
     needs_contact = tangent or phase.d >= 2 or not _crossings(model, phase.d).ok
     if not needs_contact:
-        return _continue(model, ctx, depth)
+        return _continue(model, mode)
     chart = ChartMap(Center((n - 1,), n), n - 1)
     child_model = _chart_model(model, chart, phase.d)
-    _check_path_budget(ctx, depth + 1)
     node = _blowup_node(child_model, phase, chart)
-    node.children = _continue(child_model, ctx, depth + 1)
+    node.children = partial(_continue, child_model, mode)
     return [node]
 
 
-def _monomial_loop(model, phase, omegas, ctx, depth):
+def _monomial_loop(model, phase, omegas, mode):
     """Blow up combinatorial centers until the invariant pair drops."""
     _, omega = least_omega(omegas)
     if omega.total < omega.scale:
@@ -1155,10 +1144,10 @@ def _monomial_loop(model, phase, omegas, ctx, depth):
             f"phase stretch exceeded its budget of {phase.stretch_limit} blow-ups"
         )
     center = monomial_centers(omega)[0]
-    return [_monomial_child(model, center, i, omegas, phase, ctx, depth) for i in center.indices]
+    return [_monomial_child(model, center, i, omegas, phase, mode) for i in center.indices]
 
 
-def _monomial_child(model, center, i, omegas, phase, ctx, depth):
+def _monomial_child(model, center, i, omegas, phase, mode):
     """Blow up ``center`` in chart i and continue from the chart origin."""
     m = model.nvars - 1
     chart = ChartMap(center, i)
@@ -1168,7 +1157,6 @@ def _monomial_child(model, center, i, omegas, phase, ctx, depth):
     child = _chart_model(model, chart, phase.d)
     positions = [j for j in center.indices if j != m]
     predicted = {} if i == m else {k: om.updated(positions, i) for k, om in omegas.items()}
-    _check_path_budget(ctx, depth + 1)
     budget = {"limit": phase.stretch_limit, "step": phase.stretch_step + 1}
     node = _blowup_node(child, phase, chart, budget=budget)
     if tuple(node.pair) > tuple(phase.start_pair):
@@ -1183,11 +1171,11 @@ def _monomial_child(model, center, i, omegas, phase, ctx, depth):
     if i == m and phase.front_entry is None and child.d >= max(phase.d, 1):
         raise AlgorithmError("the order failed to drop in the contact chart")
     if i == m or not front_persists:
-        node.children = _continue(child, ctx, depth + 1)
+        node.children = partial(_continue, child, mode)
         return node
     data = _active_data(*coefficient_data(child, phase.d), phase, child.g.trunc)
     if not data:
-        node.children = _finish_phase_no_data(child, phase, ctx, depth + 1)
+        node.children = partial(_finish_phase_no_data, child, phase, mode)
         return node
     omegas2, key = _omega_of(data, phase)
     if omegas2 is None:
@@ -1213,18 +1201,18 @@ def _monomial_child(model, center, i, omegas, phase, ctx, depth):
         )
     else:
         phase = replace(phase, stretch_step=phase.stretch_step + 1)
-    node.children = _monomial_loop(child, phase, omegas2, ctx, depth + 1)
+    node.children = partial(_monomial_loop, child, phase, omegas2, mode)
     return node
 
 
-def _run_germ(g: Jet, ctx: _Ctx, depth: int):
+def _run_germ(g: Jet, mode: str):
     """Entry point for one germ, with no exceptionals yet, at the origin of
     the current frame.  In the monomial modes a germ that is already monomial
     times unit is a leaf, absorbed at once when it has order one."""
     model = _model(g, ExceptionalLedger())
-    dec = None if ctx.mode == RESOLVE or g.is_zero() else g.monomial_unit_decompose()
+    dec = None if mode == RESOLVE or g.is_zero() else g.monomial_unit_decompose()
     if dec is None:
-        return _continue(model, ctx, depth)
+        return _continue(model, mode)
     if model.d == 1:  # a smooth germ alone always crosses normally
         return [_absorb(model, _crossings(model, 1))]
     return [_leaf_node(model, monomial_exponents=list(dec[0]))]
@@ -1257,9 +1245,9 @@ def _absorb(model: LocalModel, crossings):
     return blow
 
 
-def _root_nodes(g: Jet, ctx: _Ctx):
+def _root_nodes(g: Jet, config: RunConfig, mode: str):
     n = g.nvars
-    base_points = ctx.config.base_points or (tuple([0] * n),)
+    base_points = config.base_points or (tuple([0] * n),)
     roots = []
     for pt in base_points:
         pt = tuple(Fraction(p) for p in pt)
@@ -1268,7 +1256,7 @@ def _root_nodes(g: Jet, ctx: _Ctx):
         g0 = g if all(p == 0 for p in pt) else g.recenter(pt)
         model = _model(g0, ExceptionalLedger())
         piece = Node(KIND_COVERING, base_point=pt, pair=(model.d, model.s), s_total=model.s)
-        piece.children = _run_germ(g0, ctx, depth=0)
+        piece.children = _run_germ(g0, mode)
         roots.append(piece)
     return roots
 
@@ -1279,23 +1267,24 @@ def _drive(mode: str, g: Jet, input_jets, config: RunConfig | None, var_names):
     names = tuple(var_names) if var_names else tuple(default_names(g.nvars))
     if len(names) != g.nvars:  # the tree reader takes its frame from the names
         raise ShapeError(f"{len(names)} variable names for a germ in {g.nvars} variables")
-    try:
-        roots = _root_nodes(g, _Ctx(config=config, mode=mode))
-    except RecursionError:  # the driver recurses a few frames a blow-up
-        raise BudgetError(
-            "a path of the resolution tree is nested too deeply for the recursive driver"
-        ) from None
+    roots = _root_nodes(g, config, mode)
     ids = count()
 
     def number(state, node):
-        # state: the parent's id and the blow-up events on the path above
-        parent_id, blowups = state
+        # state: the parent's id, the blow-up events and the charts on the path above
+        parent_id, blowups, charts = state
+        charts += node.center is not None
+        if charts > config.max_blowups:
+            raise BudgetError(
+                f"a path exceeded the configured blow-up budget ({config.max_blowups})"
+            )
         if node.kind == KIND_BLOWUP and not node.identity:
             blowups += 1
         node.nid, node.parent_id, node.blowup_index = next(ids), parent_id, blowups
-        return node.nid, blowups
+        _built(node)
+        return node.nid, blowups, charts
 
-    nodes = [node for node, _ in _walk(roots, number, (None, 0))]
+    nodes = [node for node, _ in _walk(roots, number, (None, 0, 0))]
     return ResolutionTree(mode, config, input_jets, names, nodes)
 
 
@@ -1362,19 +1351,29 @@ class VerifyReport:
         return out
 
 
+# the stored fields that the replay ignores on a node of each kind
+_UNREPLAYED = {
+    KIND_COVERING: {"prep": "a preparation", "center": "a center", "chart_index": "a chart index"},
+    KIND_BLOWUP: {"base_point": "a base point"},
+    KIND_LEAF: {"prep": "a preparation"},
+}
+_KIND_WORDS = {KIND_COVERING: "a covering piece", KIND_BLOWUP: "a blow-up chart", KIND_LEAF: "a leaf"}
+
+
 def _structure_problems(tree: ResolutionTree) -> list:
     """Charts missing from the tree: the children of a node that carry one
     center must be exactly one chart per center index, a node has children
-    exactly when it is not a leaf, and the tree needs a leaf.  A leaf with a
-    preparation is a problem too: the replay would not apply it."""
+    exactly when it is not a leaf, and the tree needs a leaf.  A field that
+    the replay of its node ignores, such as a leaf's preparation, is one too."""
     out = []
     for node in tree.nodes:
         if node.kind != KIND_LEAF and not node.children:
             out.append(f"node {node.nid} is not a leaf and has no children")
         if node.kind == KIND_LEAF and node.children:
             out.append(f"node {node.nid} is a leaf and has children")
-        if node.kind == KIND_LEAF and node.prep is not None:
-            out.append(f"node {node.nid} is a leaf and has a preparation")
+        for field, words in _UNREPLAYED[node.kind].items():
+            if getattr(node, field) is not None:
+                out.append(f"node {node.nid} is {_KIND_WORDS[node.kind]} and has {words}")
         charts = {}
         for child in node.children:
             if child.center is not None:

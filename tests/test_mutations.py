@@ -120,15 +120,47 @@ def dropped_prep(text):
             yield node["id"], data
 
 
+def _swap_first_and_last(n):
+    """The n x n permutation matrix that swaps the first and last variables."""
+    return [[str(int({0: n - 1, n - 1: 0}.get(i, i) == j)) for j in range(n)] for i in range(n)]
+
+
 def prep_on_leaf(text):
     """A leaf gains a preparation that swaps the first and last variables;
     nothing below a leaf would apply it."""
-    n = len(json.loads(text)["variables"])
-    swap = [[str(int({0: n - 1, n - 1: 0}.get(i, i) == j)) for j in range(n)] for i in range(n)]
+    swap = _swap_first_and_last(len(json.loads(text)["variables"]))
     for pos, node in enumerate(json.loads(text)["nodes"]):
         if node["kind"] == "Leaf":
             data = json.loads(text)
             data["nodes"][pos]["prep"] = {"matrix": swap, "shear": None}
+            yield node["id"], data
+
+
+def fields_on_covering(text):
+    """A covering piece gains a swap preparation, a center or a chart index;
+    the replay reads only its base point."""
+    n = len(json.loads(text)["variables"])
+    fields = {
+        "prep": {"matrix": _swap_first_and_last(n), "shear": None},
+        "center_indices": list(range(n)),
+        "chart_index": 0,
+    }
+    for pos, node in enumerate(json.loads(text)["nodes"]):
+        if node["kind"] == "CoveringPiece":
+            for key, value in fields.items():
+                data = json.loads(text)
+                data["nodes"][pos][key] = value
+                yield (node["id"], key), data
+
+
+def base_point_on_chart(text):
+    """A blow-up chart gains a base point, which the replay reads only on a
+    covering piece."""
+    n = len(json.loads(text)["variables"])
+    for pos, node in enumerate(json.loads(text)["nodes"]):
+        if node["kind"] == "BlowupChart":
+            data = json.loads(text)
+            data["nodes"][pos]["base_point"] = [str(5 + 2 * k) for k in range(n)]
             yield node["id"], data
 
 
@@ -190,6 +222,8 @@ MUTATIONS = [
     perturbed_input_term,
     perturbed_composed_map_term,
     prep_on_leaf,
+    fields_on_covering,
+    base_point_on_chart,
 ]
 
 

@@ -269,6 +269,14 @@ class TestCliRuns:
         assert code == 3
         assert "budget" in text
 
+    def test_budget_counts_the_absorbing_blowup(self):
+        # the identity blow-up that absorbs the cusp's smooth strict transform
+        # is a chart on its path like any other
+        argv = ["monomialize", "y^2-x^3", "--max-blowups"]
+        want = "error: a path exceeded the configured blow-up budget (3)\n"
+        assert run_cli(argv + ["3"]) == (3, want)
+        assert run_cli(argv + ["4"])[0] == 0
+
     def test_verify_round_trip(self, tmp_path):
         out = tmp_path / "cusp"
         code, text = run_cli(
@@ -790,6 +798,29 @@ class TestIncompleteTree:
         assert "tree: FAIL reasons=['node 4 is a leaf and has a preparation']" in text
         assert "verified: False" in text
 
+    @pytest.mark.parametrize(
+        "nid, key, value, reason",
+        [
+            (0, "prep", {"matrix": [["0", "1"], ["1", "0"]], "shear": None},
+             "node 0 is a covering piece and has a preparation"),
+            (0, "center_indices", [0, 1], "node 0 is a covering piece and has a center"),
+            (0, "chart_index", 0, "node 0 is a covering piece and has a chart index"),
+            (1, "base_point", ["5", "7"], "node 1 is a blow-up chart and has a base point"),
+        ],
+        ids=["prep-on-piece", "center-on-piece", "chart-on-piece", "base-point-on-chart"],
+    )
+    def test_field_the_replay_ignores(self, tmp_path, nid, key, value, reason):
+        # the replay reads only a piece's base point and only a chart's
+        # preparation, center and chart index, so no other may be stored
+        data = _cusp_tree(tmp_path)
+        node = data["nodes"][nid]
+        assert node["id"] == nid and node[key] is None
+        node[key] = value
+        code, text = _verify_data(tmp_path, data)
+        assert code == 2
+        assert f"tree: FAIL reasons=[{reason!r}]" in text
+        assert "verified: False" in text
+
 
 class TestReplayWalk:
     """The verifier replays each root path once, depth first, without recursion."""
@@ -848,6 +879,18 @@ class TestDeepNesting:
     def test_powers(self):
         assert run_cli(["resolve", "x" + "^1" * 2000 + " - y^2"]) == (4, self.EXPRESSION)
 
+    @pytest.mark.parametrize(
+        "chain, plain",
+        [
+            ("x+" * 1999 + "x - y^2", "2000*x - y^2"),
+            ("1*" * 2000 + "x^2 - y^3", "x^2 - y^3"),
+        ],
+        ids=["sum", "product"],
+    )
+    def test_flat_chain_is_not_nested(self, chain, plain):
+        # a chain of + - or * / is one node of the syntax tree, however long
+        assert run_cli(["resolve", chain]) == run_cli(["resolve", plain])
+
     @pytest.mark.parametrize("opener", ["[", '{"a":'])
     def test_tree_json(self, tmp_path, opener):
         path = tmp_path / "deep.json"
@@ -861,9 +904,22 @@ class TestDeepNesting:
         assert run_cli(["verify", str(path)]) == (4, "error: tree JSON: the tree is not an object\n")
 
     def test_drive(self):
-        # the one path of y^2 - x^801 needs about 400 blow-ups
+        # the one path of y^2 - x^801 needs 402 blow-ups: past the recursion
+        # limit, so only --max-blowups bounds it
         argv = ["resolve", "y^2 - x^801", "--truncation", "805", "--max-blowups", "1000"]
-        want = "error: a path of the resolution tree is nested too deeply for the recursive driver\n"
+        assert run_cli(argv) == (0, (
+            "mode: resolve\n"
+            "variables: y, x\n"
+            "blow-ups: 402\n"
+            "leaves: 403\n"
+            "strict transform order <= 1 after: 400 blow-ups\n"
+            "leaves passed (driver checks): True\n"
+        ))
+        code, text = run_cli(argv + ["--emit", "json"])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (code, digest[:16]) == (0, "e286d2b7ab3e198a")
+        argv[-1] = "300"
+        want = "error: a path exceeded the configured blow-up budget (300)\n"
         assert run_cli(argv) == (3, want)
 
     def test_drive_250_deep_resolves(self):

@@ -276,6 +276,15 @@ class TestResolveRuns:
         assert len(roots) == 2
         assert verify_resolution(tree).all_passed
 
+    @pytest.mark.parametrize("drive", [resolve_hypersurface, monomialize_principal])
+    @pytest.mark.parametrize("expr", ["y^2 - x^3", "x^2 + y^3 + z^3", "w^2 + x^2 + y^2 + z^2"])
+    def test_every_node_has_list_children(self, drive, expr):
+        # the walk that numbers a driven tree runs every stored step, those
+        # of the lifted reductions of the last two germs included
+        tree = drive(parse_many([expr])[0][0])
+        assert all(type(n.children) is list for n in tree.nodes)
+        assert all(c.parent_id == n.nid for n in tree.nodes for c in n.children)
+
     def test_budget_exhaustion(self):
         from resolvkit.resolve import BudgetError
 
@@ -608,7 +617,7 @@ class TestExceptionalOnlyEndgame:
     def test_tangent_exceptional_cluster_separates(self):
         # a unit hypersurface with two tangent exceptionals: the pure-ledger
         # endgame must separate them with contact blow-ups
-        from resolvkit.resolve import _continue, _Ctx, _model, RESOLVE
+        from resolvkit.resolve import _built, _continue, _model, _walk, RESOLVE
         from resolvkit.blowup import LedgerEntry
 
         g = Jet(2, 20, {(0, 0): 1, (1, 0): 1})  # unit
@@ -619,19 +628,9 @@ class TestExceptionalOnlyEndgame:
             ]
         )
         model = _model(g, led)
-        ctx = _Ctx(config=RunConfig(), mode=RESOLVE)
-        children = _continue(model, ctx, 0)
-
-        leaves = []
-
-        def walk(nodes):
-            for nd in nodes:
-                if nd.kind == "Leaf":
-                    leaves.append(nd)
-                else:
-                    walk(nd.children)
-
-        walk(children)
+        # the walk runs each node's stored step, as _drive's numbering walk does
+        walked = _walk(_continue(model, RESOLVE), lambda _, nd: _built(nd), None)
+        leaves = [nd for nd, _ in walked if nd.kind == "Leaf"]
         assert leaves
         assert all(nd.leaf["passed"] for nd in leaves)
 
